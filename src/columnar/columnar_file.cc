@@ -141,6 +141,45 @@ writeF32Stream(std::vector<uint8_t>& out, std::span<const float> values,
     return meta;
 }
 
+/**
+ * Decode one CRC-verified page into its output slice @p out: floats
+ * when @p as_f32, int64s otherwise. A compressed plain page
+ * decompresses straight into the slice, since its raw bytes are the
+ * values: no scratch buffer and no copy. Other pages decompress into
+ * @p decomp first. The scratch buffers keep their capacity across
+ * calls, so a warmed-up decode loop stays allocation-free.
+ */
+Status
+decodePageInto(const PageView& page, bool as_f32, void* out,
+               std::vector<uint8_t>& decomp, std::vector<int64_t>& dict,
+               std::vector<int64_t>& ref_out)
+{
+    const Encoding plain =
+        as_f32 ? Encoding::kPlainF32 : Encoding::kPlainI64;
+    const uint64_t width = as_f32 ? sizeof(float) : sizeof(int64_t);
+    if (page.codec != PageCodec::kNone && page.encoding == plain &&
+        page.value_count > 0 &&
+        page.raw_size == page.value_count * width &&
+        (as_f32 || enc::fastDecodeEnabled())) {
+        return pageDecompressInto(
+            page, {static_cast<uint8_t*>(out), page.raw_size});
+    }
+    std::span<const uint8_t> raw;
+    PRESTO_RETURN_IF_ERROR(pagePayload(page, decomp, raw));
+    if (as_f32) {
+        return enc::decodeF32Into(page.encoding, raw, page.value_count,
+                                  static_cast<float*>(out));
+    }
+    auto* i64 = static_cast<int64_t*>(out);
+    if (enc::fastDecodeEnabled())
+        return enc::decodeI64Into(page.encoding, raw, page.value_count, i64,
+                                  dict);
+    PRESTO_RETURN_IF_ERROR(enc::decodeI64Reference(
+        page.encoding, raw, page.value_count, ref_out, dict));
+    std::copy(ref_out.begin(), ref_out.end(), i64);
+    return Status::okStatus();
+}
+
 }  // namespace
 
 uint64_t
@@ -421,20 +460,10 @@ ColumnarFileReader::decodeStreamSerial(const StreamMeta& stream, bool as_f32,
         // CRC (verified above, over the stored bytes) precedes this
         // decompression, so a damaged compressed page never reaches
         // the codec.
-        std::span<const uint8_t> raw;
-        PRESTO_RETURN_IF_ERROR(pagePayload(page, decomp_, raw));
-        if (as_f32) {
-            PRESTO_RETURN_IF_ERROR(enc::decodeF32Into(
-                page.encoding, raw, page.value_count, f32_out + off));
-        } else if (enc::fastDecodeEnabled()) {
-            PRESTO_RETURN_IF_ERROR(enc::decodeI64Into(
-                page.encoding, raw, page.value_count, i64_out + off,
-                dict_));
-        } else {
-            PRESTO_RETURN_IF_ERROR(enc::decodeI64Reference(
-                page.encoding, raw, page.value_count, page_i64_, dict_));
-            std::copy(page_i64_.begin(), page_i64_.end(), i64_out + off);
-        }
+        void* dst = as_f32 ? static_cast<void*>(f32_out + off)
+                           : static_cast<void*>(i64_out + off);
+        PRESTO_RETURN_IF_ERROR(
+            decodePageInto(page, as_f32, dst, decomp_, dict_, page_i64_));
         off += page.value_count;
     }
     if (pos != stream.offset + stream.byte_size)
@@ -506,30 +535,13 @@ ColumnarFileReader::decodePageTask(size_t t)
         // Worker-local scratch: pages of one stream decode
         // concurrently, so the member buffers cannot be shared here.
         static thread_local std::vector<uint8_t> tl_decomp;
-        std::span<const uint8_t> raw;
-        st = pagePayload(page, tl_decomp, raw);
-        if (!st.ok()) {
-            task_status_[t] = std::move(st);
-            return;
-        }
-        if (par_f32_) {
-            st = enc::decodeF32Into(page.encoding, raw, page.value_count,
-                                    par_f32_out_ + task.out_offset);
-        } else if (enc::fastDecodeEnabled()) {
-            static thread_local std::vector<int64_t> tl_dict;
-            st = enc::decodeI64Into(page.encoding, raw, page.value_count,
-                                    par_i64_out_ + task.out_offset,
-                                    tl_dict);
-        } else {
-            static thread_local std::vector<int64_t> tl_out;
-            static thread_local std::vector<int64_t> tl_dict;
-            st = enc::decodeI64Reference(page.encoding, raw,
-                                         page.value_count, tl_out, tl_dict);
-            if (st.ok()) {
-                std::copy(tl_out.begin(), tl_out.end(),
-                          par_i64_out_ + task.out_offset);
-            }
-        }
+        static thread_local std::vector<int64_t> tl_dict;
+        static thread_local std::vector<int64_t> tl_out;
+        void* dst =
+            par_f32_ ? static_cast<void*>(par_f32_out_ + task.out_offset)
+                     : static_cast<void*>(par_i64_out_ + task.out_offset);
+        st = decodePageInto(page, par_f32_, dst, tl_decomp, tl_dict,
+                            tl_out);
     }
     task_status_[t] = std::move(st);
 }
@@ -904,30 +916,20 @@ ColumnarFileReader::completePage(const PageReadPlan& plan,
     // Worker-local scratch: pages may decode on a shared pool
     // concurrently, so the member buffers cannot be used here.
     static thread_local std::vector<uint8_t> tl_decomp;
-    std::span<const uint8_t> raw;
-    PRESTO_RETURN_IF_ERROR(pagePayload(page, tl_decomp, raw));
-
+    static thread_local std::vector<int64_t> tl_dict;
+    static thread_local std::vector<int64_t> tl_out;
     const ColumnMeta& meta = footer_.columns[plan.column];
     if (meta.kind != FeatureKind::kSparse) {
         float* dst = out.mutableDense(plan.column).mutableValues().data();
-        return enc::decodeF32Into(page.encoding, raw, page.value_count,
-                                  dst + plan.out_offset);
+        return decodePageInto(page, /*as_f32=*/true, dst + plan.out_offset,
+                              tl_decomp, tl_dict, tl_out);
     }
     int64_t* dst =
         plan.stream == 0
             ? async_lengths_[plan.column].data()
             : out.mutableSparse(plan.column).mutableValues().data();
-    if (enc::fastDecodeEnabled()) {
-        static thread_local std::vector<int64_t> tl_dict;
-        return enc::decodeI64Into(page.encoding, raw, page.value_count,
-                                  dst + plan.out_offset, tl_dict);
-    }
-    static thread_local std::vector<int64_t> tl_out;
-    static thread_local std::vector<int64_t> tl_dict;
-    PRESTO_RETURN_IF_ERROR(enc::decodeI64Reference(
-        page.encoding, raw, page.value_count, tl_out, tl_dict));
-    std::copy(tl_out.begin(), tl_out.end(), dst + plan.out_offset);
-    return Status::okStatus();
+    return decodePageInto(page, /*as_f32=*/false, dst + plan.out_offset,
+                          tl_decomp, tl_dict, tl_out);
 }
 
 Status

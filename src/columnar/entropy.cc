@@ -15,13 +15,26 @@ constexpr uint32_t kDecodeSize = 1u << kMaxHuffCodeLen;
 constexpr uint8_t kModeHuffman = 0;
 constexpr uint8_t kModeSingle = 1;
 
+/** Every byte value with its bit order reversed. */
+constexpr std::array<uint8_t, 256> kReversedByte = [] {
+    std::array<uint8_t, 256> table{};
+    for (uint32_t b = 0; b < 256; ++b) {
+        uint32_t rev = 0;
+        for (int i = 0; i < 8; ++i)
+            rev |= ((b >> i) & 1u) << (7 - i);
+        table[b] = static_cast<uint8_t>(rev);
+    }
+    return table;
+}();
+
+/** The low @p len bits of @p code in reverse order (1 <= len <= 16). */
 uint32_t
 reverseBits(uint32_t code, int len)
 {
-    uint32_t rev = 0;
-    for (int i = 0; i < len; ++i)
-        rev |= ((code >> i) & 1u) << (len - 1 - i);
-    return rev;
+    static_assert(kMaxHuffCodeLen <= 16);
+    const uint32_t rev16 = uint32_t{kReversedByte[code & 0xFF]} << 8 |
+                           kReversedByte[(code >> 8) & 0xFF];
+    return rev16 >> (16 - len);
 }
 
 /**
@@ -84,34 +97,25 @@ packageMerge(const std::array<uint64_t, kNumSymbols>& freq,
 
 /**
  * Assign canonical codes (MSB-first numbering: shorter codes are
- * numerically smaller prefixes) from a length table. Returns the Kraft
- * sum scaled to kDecodeSize; a complete code sums to exactly
- * kDecodeSize.
+ * numerically smaller prefixes) from a length table.
  */
-uint64_t
+void
 canonicalCodes(const std::array<uint8_t, kNumSymbols>& lengths,
                std::array<uint16_t, kNumSymbols>& codes)
 {
     std::array<uint32_t, kMaxHuffCodeLen + 1> count{};
-    uint64_t kraft = 0;
     for (uint32_t s = 0; s < kNumSymbols; ++s)
-        if (lengths[s] > 0) {
+        if (lengths[s] > 0)
             ++count[lengths[s]];
-            kraft += kDecodeSize >> lengths[s];
-        }
-    std::array<uint32_t, kMaxHuffCodeLen + 2> first{};
+    std::array<uint32_t, kMaxHuffCodeLen + 1> next{};
     uint32_t code = 0;
     for (int len = 1; len <= kMaxHuffCodeLen; ++len) {
-        first[len] = code;
+        next[len] = code;
         code = (code + count[len]) << 1;
     }
-    std::array<uint32_t, kMaxHuffCodeLen + 1> next{};
-    for (int len = 1; len <= kMaxHuffCodeLen; ++len)
-        next[len] = first[len];
     for (uint32_t s = 0; s < kNumSymbols; ++s)
         if (lengths[s] > 0)
             codes[s] = static_cast<uint16_t>(next[lengths[s]]++);
-    return kraft;
 }
 
 /**
@@ -141,21 +145,44 @@ bool
 buildDecodeTable(const std::array<uint8_t, kNumSymbols>& lengths,
                  DecodeTable& table, bool fuse)
 {
-    std::array<uint16_t, kNumSymbols> codes{};
-    if (canonicalCodes(lengths, codes) != kDecodeSize)
+    std::array<uint32_t, kMaxHuffCodeLen + 1> count{};
+    for (uint32_t s = 0; s < kNumSymbols; ++s)
+        ++count[lengths[s]];
+    uint64_t kraft = 0;
+    for (int len = 1; len <= kMaxHuffCodeLen; ++len)
+        kraft += uint64_t{count[len]} << (kMaxHuffCodeLen - len);
+    if (kraft != kDecodeSize)
         return false;
-    // Pass 1: single-symbol entries keyed by the bit-reversed code
-    // (the bitstream is packed LSB-first).
-    for (uint32_t s = 0; s < kNumSymbols; ++s) {
-        const int len = lengths[s];
-        if (len == 0)
-            continue;
-        const uint32_t rev = reverseBits(codes[s], len);
-        const uint64_t entry = s | uint64_t{1} << 32 |
-                               static_cast<uint64_t>(len) << 36 |
-                               static_cast<uint64_t>(len) << 40;
-        for (uint32_t hi = 0; hi < (kDecodeSize >> len); ++hi)
-            table[rev | hi << len] = entry;
+    // Symbols sorted by (code length, symbol): the canonical order, in
+    // which the codes of one length are consecutive integers.
+    std::array<uint32_t, kMaxHuffCodeLen + 2> start{};
+    for (int len = 1; len <= kMaxHuffCodeLen; ++len)
+        start[len + 1] = start[len] + count[len];
+    std::array<uint8_t, kNumSymbols> sorted{};
+    {
+        std::array<uint32_t, kMaxHuffCodeLen + 2> next = start;
+        for (uint32_t s = 0; s < kNumSymbols; ++s)
+            if (lengths[s] > 0)
+                sorted[next[lengths[s]]++] = static_cast<uint8_t>(s);
+    }
+    // Pass 1: single-symbol entries keyed by the bit-reversed code (the
+    // bitstream is packed LSB-first), built a length at a time. After
+    // length L, entry i < 2^L holds the code of length <= L that
+    // matches i's low L bits; doubling that prefix carries every
+    // shorter code to its slots under the next bit, and the codes of
+    // the next length then fill exactly the slots no shorter code
+    // covers. Kraft completeness leaves no slot unfilled at the end.
+    uint32_t code = 0;
+    for (int len = 1; len <= kMaxHuffCodeLen; ++len) {
+        const uint32_t half = 1u << (len - 1);
+        std::memcpy(table.data() + half, table.data(),
+                    half * sizeof(uint64_t));
+        for (uint32_t i = start[len]; i < start[len + 1]; ++i, ++code)
+            table[reverseBits(code, len)] =
+                sorted[i] | uint64_t{1} << 32 |
+                static_cast<uint64_t>(len) << 36 |
+                static_cast<uint64_t>(len) << 40;
+        code <<= 1;
     }
     if (!fuse)
         return true;

@@ -199,20 +199,29 @@ Status
 pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
             std::span<const uint8_t>& raw)
 {
-    switch (page.codec) {
-      case PageCodec::kNone:
+    if (page.codec == PageCodec::kNone) {
         raw = page.payload;
         return Status::okStatus();
+    }
+    scratch.resize(page.raw_size);
+    PRESTO_RETURN_IF_ERROR(
+        pageDecompressInto(page, {scratch.data(), scratch.size()}));
+    raw = {scratch.data(), scratch.size()};
+    return Status::okStatus();
+}
+
+Status
+pageDecompressInto(const PageView& page, std::span<uint8_t> out)
+{
+    if (out.size() != page.raw_size)
+        return Status::corruption("page raw size disagrees with output");
+    switch (page.codec) {
+      case PageCodec::kNone:
+        return Status::corruption("page is not compressed");
       case PageCodec::kLz:
-        scratch.resize(page.raw_size);
-        PRESTO_RETURN_IF_ERROR(enc::lzDecompress(
-            page.payload, {scratch.data(), scratch.size()}));
-        break;
+        return enc::lzDecompress(page.payload, out);
       case PageCodec::kEntropy:
-        scratch.resize(page.raw_size);
-        PRESTO_RETURN_IF_ERROR(enc::huffDecompress(
-            page.payload, {scratch.data(), scratch.size()}));
-        break;
+        return enc::huffDecompress(page.payload, out);
       case PageCodec::kLzEntropy: {
         // Two-stage decode: entropy -> LZ stream -> raw. The LZ
         // stream's size is only known from the entropy header, so
@@ -230,14 +239,10 @@ pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
         lz_stream.resize(info.raw_bytes);
         PRESTO_RETURN_IF_ERROR(enc::huffDecompress(
             page.payload, {lz_stream.data(), lz_stream.size()}));
-        scratch.resize(page.raw_size);
-        PRESTO_RETURN_IF_ERROR(enc::lzDecompress(
-            lz_stream, {scratch.data(), scratch.size()}));
-        break;
+        return enc::lzDecompress(lz_stream, out);
       }
     }
-    raw = {scratch.data(), scratch.size()};
-    return Status::okStatus();
+    return Status::corruption("unknown page codec");
 }
 
 }  // namespace presto

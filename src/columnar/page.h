@@ -124,6 +124,15 @@ Status scanPageFrame(std::span<const uint8_t> in, size_t& pos,
 Status pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
                    std::span<const uint8_t>& raw);
 
+/**
+ * Decompress a compressed page's payload straight into @p out, which
+ * must be exactly page.raw_size bytes. The codecs write only inside
+ * @p out, so it may be the page's slice of a decoded column (a plain
+ * page's raw bytes are its values). On failure @p out holds partial
+ * output. Call only after readPageFrame() verified the CRC.
+ */
+Status pageDecompressInto(const PageView& page, std::span<uint8_t> out);
+
 }  // namespace presto
 
 #endif  // PRESTO_COLUMNAR_PAGE_H_

@@ -58,6 +58,14 @@ PreprocessManager::PreprocessManager(const RmConfig& config,
     decoded_capacity_ = std::max<size_t>(
         2, static_cast<size_t>(
                std::ceil(num_workers_ * (1.0 + fetch_share_))));
+    // Reserve the pools at their bounds so the steady state stays
+    // allocation-free: at most one extraction per fetcher is published;
+    // every shell is either in the window or held by a worker; a batch
+    // is queued, held by a transformer, or held by the trainer.
+    const size_t workers = static_cast<size_t>(num_workers_);
+    extracting_.reserve(workers);
+    free_shells_.reserve(decoded_capacity_ + workers);
+    free_batches_.reserve(queue_capacity_ + workers + 1);
 }
 
 PreprocessManager::~PreprocessManager()
@@ -124,30 +132,138 @@ namespace {
 /** Fetch+decode attempts before a partition is declared unrecoverable. */
 constexpr uint64_t kMaxFetchAttempts = 16;
 
+/**
+ * Page chunks per worker of one staged extraction: enough that the
+ * chunk claimed last is short next to the partition (little tail where
+ * the fetcher waits on a helper), few enough that claiming stays a
+ * handful of lock round trips per partition.
+ */
+constexpr size_t kChunksPerWorker = 4;
+
+/** Cut @p plans into at most @p max_chunks contiguous runs of about
+    equal frame bytes; @p ends gets one past each run's last plan. */
+void
+cutChunks(const std::vector<PageReadPlan>& plans, size_t max_chunks,
+          std::vector<size_t>& ends)
+{
+    ends.clear();
+    uint64_t total = 0;
+    for (const PageReadPlan& plan : plans)
+        total += plan.frame_bytes;
+    uint64_t acc = 0;
+    for (size_t i = 0; i < plans.size(); ++i) {
+        acc += plans[i].frame_bytes;
+        if (i + 1 == plans.size() ||
+            acc * max_chunks >= total * (ends.size() + 1))
+            ends.push_back(i + 1);
+    }
+}
+
 }  // namespace
+
+bool
+PreprocessManager::claimChunkLocked(Extraction& ex, size_t& chunk)
+{
+    if (ex.next_chunk >= ex.chunk_ends.size())
+        return false;
+    chunk = ex.next_chunk++;
+    ++ex.running;
+    if (ex.next_chunk == ex.chunk_ends.size())
+        std::erase(extracting_, &ex);
+    return true;
+}
+
+void
+PreprocessManager::runChunk(std::unique_lock<std::mutex>& lock,
+                            Extraction& ex, size_t chunk)
+{
+    lock.unlock();
+    // planPageReads() scanned every frame inside ex.data, so the
+    // subspans are in bounds.
+    Status st;
+    const size_t begin = chunk == 0 ? 0 : ex.chunk_ends[chunk - 1];
+    for (size_t i = begin; i < ex.chunk_ends[chunk] && st.ok(); ++i) {
+        const PageReadPlan& plan = ex.plans[i];
+        st = ex.reader->completePage(
+            plan, ex.data.subspan(plan.offset, plan.frame_bytes),
+            *ex.batch);
+    }
+    lock.lock();
+    --ex.running;
+    if (!st.ok() && ex.status.ok()) {
+        // Cancel the chunks nobody claimed: the partition is refetched.
+        ex.status = std::move(st);
+        if (ex.next_chunk < ex.chunk_ends.size()) {
+            ex.next_chunk = ex.chunk_ends.size();
+            std::erase(extracting_, &ex);
+        }
+    }
+    if (ex.running == 0)
+        ex.idle.notify_one();
+}
+
+Status
+PreprocessManager::extract(std::span<const uint8_t> encoded,
+                           ColumnarFileReader& reader, Extraction& ex,
+                           RowBatch& out)
+{
+    // The reader's plan/complete/finish split, run in place over the
+    // resident bytes: plan every page frame, size the output, then
+    // decode the pages chunk by chunk. The fetcher decodes chunks
+    // itself; in the staged pipeline the chunks are also published so
+    // idle transformers decode them alongside.
+    PRESTO_RETURN_IF_ERROR(reader.open(encoded));
+    PRESTO_RETURN_IF_ERROR(reader.planPageReads(ex.plans));
+    PRESTO_RETURN_IF_ERROR(reader.beginReadInto(out));
+    ex.reader = &reader;
+    ex.data = encoded;
+    ex.batch = &out;
+    cutChunks(ex.plans,
+              prefetch_ ? kChunksPerWorker *
+                              static_cast<size_t>(num_workers_)
+                        : 1,
+              ex.chunk_ends);
+    const bool shared = ex.chunk_ends.size() > 1;
+
+    std::unique_lock lock(mu_);
+    ex.next_chunk = 0;
+    ex.running = 0;
+    ex.status = Status::okStatus();
+    if (shared) {
+        extracting_.push_back(&ex);
+        decoded_not_empty_.notify_all();
+    }
+    size_t chunk = 0;
+    while (claimChunkLocked(ex, chunk))
+        runChunk(lock, ex, chunk);
+    // Helpers still hold chunks that point into @p encoded and @p out:
+    // wait for them even when the manager is stopping.
+    ex.idle.wait(lock, [&ex] { return ex.running == 0; });
+    Status st = std::move(ex.status);
+    lock.unlock();
+    PRESTO_RETURN_IF_ERROR(st);
+    return reader.finishReadInto(out);
+}
 
 void
 PreprocessManager::fetchDecode(uint64_t id, ColumnarFileReader& reader,
-                               DecodedPartition& dp)
+                               Extraction& ex, DecodedPartition& dp)
 {
     // Extract: fetch the encoded partition from the (local) SSD and
     // decode it. In Disagg mode the encoded bytes crossed the
     // datacenter network first; in PreSto mode they moved SSD->FPGA
     // over the device-internal P2P path. Under fault injection a
     // fetch can fail transiently (retried) or deliver bit-flipped
-    // bytes — caught by the PSF page CRCs and answered by
-    // re-fetching the partition.
+    // bytes — caught by the PSF page CRCs (in whichever chunk holds
+    // the page) and answered by re-fetching the partition.
     dp.raw_bytes = 0;
     dp.bytes_touched = 0;
     dp.transient_errors = 0;
     dp.corrupt_refetches = 0;
     if (!store_.faultInjectionEnabled()) {
         const auto& encoded = store_.partition(id);
-        Status st = reader.open(encoded);
+        const Status st = extract(encoded, reader, ex, dp.batch);
         PRESTO_CHECK(st.ok(), "partition ", id, " unreadable: ",
-                     st.toString());
-        st = reader.readAllInto(dp.batch);
-        PRESTO_CHECK(st.ok(), "partition ", id, " corrupt: ",
                      st.toString());
         dp.raw_bytes = encoded.size();
         dp.bytes_touched = reader.bytesTouched();
@@ -164,9 +280,7 @@ PreprocessManager::fetchDecode(uint64_t id, ColumnarFileReader& reader,
             ++dp.transient_errors;
             continue;
         }
-        Status st = reader.open(*fetched);
-        if (st.ok())
-            st = reader.readAllInto(dp.batch);
+        const Status st = extract(*fetched, reader, ex, dp.batch);
         if (!st.ok()) {
             PRESTO_CHECK(st.code() == StatusCode::kCorruption,
                          "partition ", id, " unreadable: ", st.toString());
@@ -273,7 +387,7 @@ PreprocessManager::workerLoop()
     // Unstaged (seed) schedule: each worker alternates Extract and
     // Transform, but with the device-style persistent decode buffers.
     ColumnarFileReader reader;
-    reader.setThreadPool(decode_pool_);
+    Extraction ex;
     std::unique_ptr<AsyncPartitionReader> async;
     if (io_ring_ != nullptr) {
         async = std::make_unique<AsyncPartitionReader>(*io_ring_);
@@ -288,7 +402,7 @@ PreprocessManager::workerLoop()
         if (async != nullptr)
             fetchDecodeAsync(pid, *async, dp);
         else
-            fetchDecode(pid, reader, dp);
+            fetchDecode(pid, reader, ex, dp);
         transformAndDeliver(dp, arena);
     }
 }
@@ -297,7 +411,7 @@ void
 PreprocessManager::fetchLoop()
 {
     ColumnarFileReader reader;
-    reader.setThreadPool(decode_pool_);
+    Extraction ex;
     std::unique_ptr<AsyncPartitionReader> async;
     if (io_ring_ != nullptr) {
         async = std::make_unique<AsyncPartitionReader>(*io_ring_);
@@ -318,7 +432,7 @@ PreprocessManager::fetchLoop()
         if (async != nullptr)
             fetchDecodeAsync(pid, *async, *dp);
         else
-            fetchDecode(pid, reader, *dp);
+            fetchDecode(pid, reader, ex, *dp);
 
         bool stopped = false;
         {
@@ -351,13 +465,23 @@ PreprocessManager::transformLoop()
         {
             std::unique_lock lock(mu_);
             decoded_not_empty_.wait(lock, [this] {
-                return !decoded_.empty() || active_fetchers_ == 0 ||
-                       stopping_;
+                return !decoded_.empty() || !extracting_.empty() ||
+                       active_fetchers_ == 0 || stopping_;
             });
             if (stopping_)
                 return;
-            if (decoded_.empty())
-                return;  // all fetchers finished and the queue drained
+            if (decoded_.empty()) {
+                if (extracting_.empty())
+                    return;  // all fetchers finished, queue drained
+                // Nothing to transform: help decode the oldest
+                // partition in extraction instead of blocking. A
+                // published extraction always has an unclaimed chunk.
+                Extraction& ex = *extracting_.front();
+                size_t chunk = 0;
+                claimChunkLocked(ex, chunk);
+                runChunk(lock, ex, chunk);
+                continue;
+            }
             dp = std::move(decoded_.front());
             decoded_.pop_front();
         }

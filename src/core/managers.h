@@ -16,6 +16,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -67,14 +68,18 @@ class PreprocessManager
      * @param queue_capacity Bound of the mini-batch input queue.
      * @param prefetch Stage the pipeline: dedicated fetcher threads
      *        decode partition N+1 while transform workers run partition
-     *        N, connected by a bounded decoded-partition queue. Off
-     *        runs the seed's combined fetch+transform loop per worker.
-     *        Delivered batches are identical either way (ordering may
-     *        differ, as it already can between workers).
-     * @param decode_pool Optional thread pool the per-worker readers
-     *        use for page-parallel decode (models the FPGA Decoder
-     *        unit). nullptr keeps per-page decode serial within each
-     *        worker. Shared across workers; must outlive the manager.
+     *        N, connected by a bounded decoded-partition queue. A
+     *        transformer with no decoded partition queued helps decode
+     *        the pages of the partitions being extracted (the FPGA
+     *        Decoder units working one partition's pages at once)
+     *        before it blocks. Off runs the seed's combined
+     *        fetch+transform loop per worker. Delivered batches are
+     *        identical either way (ordering may differ, as it already
+     *        can between workers).
+     * @param decode_pool Optional thread pool the ring path's readers
+     *        use for page-parallel decode. The in-memory path decodes
+     *        its pages on the manager's own workers instead. Shared
+     *        across workers; must outlive the manager.
      * @param io_ring Optional async I/O engine. When set, the Extract
      *        stage streams page frames through the ring instead of the
      *        blocking whole-file fetch: each fetcher keeps a window of
@@ -126,14 +131,47 @@ class PreprocessManager
         uint64_t corrupt_refetches = 0;
     };
 
+    /**
+     * One partition being extracted from memory: its page plans cut
+     * into byte-balanced chunks that the owning fetcher and idle
+     * transformers decode concurrently (completePage() is thread-safe
+     * on distinct plans). Owned by one fetcher and reused across its
+     * partitions; the chunk cursor, running count and status are
+     * guarded by mu_.
+     */
+    struct Extraction {
+        ColumnarFileReader* reader = nullptr;
+        std::span<const uint8_t> data;
+        RowBatch* batch = nullptr;
+        std::vector<PageReadPlan> plans;
+        std::vector<size_t> chunk_ends;  ///< one past each chunk's last plan
+        size_t next_chunk = 0;
+        size_t running = 0;  ///< chunks claimed but not yet finished
+        Status status;       ///< first chunk failure
+        std::condition_variable idle;  ///< running dropped to zero
+    };
+
     void workerLoop();
     void fetchLoop();
     void transformLoop();
     bool claimPartition(uint64_t& id);
     /** Fetch + decode partition @p id with the seed's fault-retry
-     * semantics, reusing @p reader and dp.batch buffers. */
+     * semantics, reusing @p reader, @p ex and dp.batch buffers. */
     void fetchDecode(uint64_t id, ColumnarFileReader& reader,
-                     DecodedPartition& dp);
+                     Extraction& ex, DecodedPartition& dp);
+    /** Open, plan and decode @p encoded into @p out, publishing the
+     * page chunks to helpers; returns once every chunk finished. */
+    Status extract(std::span<const uint8_t> encoded,
+                   ColumnarFileReader& reader, Extraction& ex,
+                   RowBatch& out);
+    /** Claim the next chunk of @p ex (mu_ held); false when none is
+     * left. Unpublishes @p ex once its last chunk is claimed. */
+    bool claimChunkLocked(Extraction& ex, size_t& chunk);
+    /** Decode the pages of a claimed chunk with @p lock (on mu_)
+     * released, then record it; a failure cancels the chunks nobody
+     * claimed yet. */
+    void runChunk(std::unique_lock<std::mutex>& lock, Extraction& ex,
+                  size_t chunk);
     /** Async-ring variant of fetchDecode: page-granular reads via
      * @p reader's IoRing, fault handling inside the ring. */
     void fetchDecodeAsync(uint64_t id, AsyncPartitionReader& reader,
@@ -167,6 +205,9 @@ class PreprocessManager
     size_t decoded_capacity_ = 0;
     std::vector<std::unique_ptr<DecodedPartition>> free_shells_;
     std::vector<std::unique_ptr<MiniBatch>> free_batches_;
+    // Extractions with unclaimed chunks, oldest first: the work an idle
+    // transformer picks up before it blocks.
+    std::vector<Extraction*> extracting_;
     int active_fetchers_ = 0;
     std::vector<std::thread> workers_;
     uint64_t next_partition_ = 0;

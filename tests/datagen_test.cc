@@ -36,8 +36,11 @@ TEST(RmConfigTest, Rm1MatchesCriteo)
     EXPECT_EQ(c.batch_size, 8192u);
 }
 
+// All fields are size_t so the struct has no padding: gtest prints the
+// parameter's raw bytes in the test listing, and uninitialised padding
+// would make the listed names differ from run to run.
 struct TableOneRow {
-    int rm;
+    size_t rm;
     size_t dense, sparse, generated, bucket, tables;
 };
 
@@ -48,7 +51,7 @@ class TableOneTest : public ::testing::TestWithParam<TableOneRow>
 TEST_P(TableOneTest, MatchesPaper)
 {
     const auto& row = GetParam();
-    const RmConfig& c = rmConfig(row.rm);
+    const RmConfig& c = rmConfig(static_cast<int>(row.rm));
     EXPECT_EQ(c.num_dense, row.dense);
     EXPECT_EQ(c.num_sparse, row.sparse);
     EXPECT_EQ(c.num_generated, row.generated);

@@ -175,6 +175,42 @@ TEST(HuffRoundTripTest, AllDistributionsAndSizes)
     }
 }
 
+TEST(HuffRoundTripTest, EveryLongestCodeLengthDecodes)
+{
+    // Dyadic weights 2^(L-1), ..., 2, 1, 1 give codes of lengths
+    // 1..L, L: one stream per longest length L exercises each level of
+    // the decoder's length-at-a-time table build, on a small page
+    // (single-symbol table) and a large one (fused table).
+    for (int longest = 1; longest <= kMaxHuffCodeLen; ++longest) {
+        for (size_t copies : {size_t{1}, size_t{16}}) {
+            std::vector<uint8_t> raw;
+            for (int k = 0; k <= longest; ++k) {
+                const size_t weight =
+                    size_t{1} << (k < longest ? longest - 1 - k : 0);
+                raw.insert(raw.end(), weight * copies,
+                           static_cast<uint8_t>(k * 23 + 5));
+            }
+            std::shuffle(raw.begin(), raw.end(),
+                         std::mt19937_64(longest * 31 + copies));
+            const auto packed = enc::huffCompress(raw);
+            HuffStreamInfo info;
+            ASSERT_TRUE(enc::huffStreamInfo(packed, info).ok());
+            ASSERT_EQ(info.mode, 0) << "longest " << longest;
+            int max_len = 0;
+            for (uint32_t i = info.header_bytes - info.table_bytes;
+                 i < info.header_bytes; ++i)
+                max_len = std::max({max_len, packed[i] & 0xF,
+                                    packed[i] >> 4});
+            EXPECT_EQ(max_len, longest);
+            std::vector<uint8_t> out(raw.size());
+            ASSERT_TRUE(enc::huffDecompress(packed, out).ok())
+                << "longest " << longest << " n=" << raw.size();
+            EXPECT_EQ(out, raw) << "longest " << longest
+                                << " n=" << raw.size();
+        }
+    }
+}
+
 TEST(HuffRoundTripTest, OutputBufferReusedAcrossCalls)
 {
     std::vector<uint8_t> packed;

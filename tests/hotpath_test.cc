@@ -16,6 +16,7 @@
 #include <new>
 #include <random>
 #include <ranges>
+#include <thread>
 #include <vector>
 
 #include "columnar/columnar_file.h"
@@ -633,6 +634,47 @@ TEST(ParallelForTest, SkewedWorkStillRunsEveryIndexExactlyOnce)
     EXPECT_EQ(index_sum.load(), uint64_t{kN} * (kN - 1) / 2);
 }
 
+/**
+ * RM5-shaped partitions: the same 589 single-page streams as the
+ * benchmark's RM5 partitions, with few rows so encoding stays fast (the
+ * sparse value pages are then still compressed plain_i64). A staged
+ * extraction cuts them into page chunks for every worker.
+ */
+RmConfig
+rm5Small()
+{
+    RmConfig cfg = rmConfig(5);
+    cfg.batch_size = 64;
+    return cfg;
+}
+
+struct DrainResult {
+    uint64_t checksum = 0;
+    size_t batches = 0;
+    RunStats stats;
+};
+
+DrainResult
+drainManager(const RmConfig& cfg, PartitionStore& store, int workers,
+             bool prefetch, size_t batches)
+{
+    PreprocessManager manager(cfg, store, PreprocessMode::kPreSto, workers,
+                              4, prefetch);
+    manager.start(batches);
+    DrainResult r;
+    for (;;) {
+        auto mb = manager.nextBatch();
+        if (mb == nullptr)
+            break;
+        EXPECT_TRUE(mb->consistent());
+        r.checksum ^= batchChecksum(*mb);
+        ++r.batches;
+        manager.recycle(std::move(mb));
+    }
+    r.stats = manager.stats();
+    return r;
+}
+
 TEST(PrefetchPipelineTest, DeliveredBatchesMatchUnstagedPath)
 {
     RmConfig cfg = rmConfig(1);
@@ -668,46 +710,138 @@ TEST(PrefetchPipelineTest, DeliveredBatchesMatchUnstagedPath)
 
 TEST(PrefetchPipelineTest, FaultRecoverySurvivesStagedPipeline)
 {
-    RmConfig cfg = rmConfig(1);
-    cfg.batch_size = 128;
-    RawDataGenerator gen(cfg);
+    // Injected faults never change delivered bits, only retry counters.
+    // On RM5 with four workers the corrupt page often sits in a chunk a
+    // helper decodes; the whole partition is refetched all the same.
+    RmConfig rm1 = rmConfig(1);
+    rm1.batch_size = 128;
     constexpr size_t kBatches = 10;
-
     FaultSpec spec;
     spec.transient_read_error_prob = 0.2;
     spec.corruption_prob = 0.2;
     const FaultInjector faults(spec);
 
-    auto runChecksum = [&](bool prefetch, RunStats& stats) {
+    for (const auto& [cfg, workers] :
+         {std::pair{rm1, 2}, std::pair{rm5Small(), 4}}) {
+        RawDataGenerator gen(cfg);
+        // Fault draws key off (partition, attempt), so both runs may
+        // share one store and still see the same faults.
         PartitionStore store(gen);
         store.setFaultInjector(&faults);
-        PreprocessManager manager(cfg, store, PreprocessMode::kDisaggCpu,
-                                  2, 4, prefetch);
-        manager.start(kBatches);
-        uint64_t sum = 0;
-        size_t count = 0;
-        for (;;) {
+        const DrainResult staged =
+            drainManager(cfg, store, workers, /*prefetch=*/true, kBatches);
+        const DrainResult unstaged =
+            drainManager(cfg, store, workers, /*prefetch=*/false, kBatches);
+        EXPECT_EQ(staged.batches, kBatches) << cfg.name;
+        EXPECT_EQ(unstaged.batches, kBatches) << cfg.name;
+        EXPECT_EQ(staged.checksum, unstaged.checksum) << cfg.name;
+        EXPECT_GT(staged.stats.transient_read_errors, 0u) << cfg.name;
+        EXPECT_GT(staged.stats.corrupt_partition_refetches, 0u) << cfg.name;
+        EXPECT_EQ(staged.stats.transient_read_errors,
+                  unstaged.stats.transient_read_errors)
+            << cfg.name;
+        EXPECT_EQ(staged.stats.corrupt_partition_refetches,
+                  unstaged.stats.corrupt_partition_refetches)
+            << cfg.name;
+    }
+}
+
+TEST(PrefetchPipelineTest, DecodeHelpersMatchUnstagedPathOnRm5)
+{
+    // Idle transformers decode page chunks of the partition a fetcher
+    // is extracting; the delivered bits and the byte accounting must be
+    // exactly those of the unstaged path, which decodes each partition
+    // on one thread.
+    const RmConfig cfg = rm5Small();
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    constexpr size_t kBatches = 8;
+    const DrainResult serial =
+        drainManager(cfg, store, 1, /*prefetch=*/false, kBatches);
+    ASSERT_EQ(serial.batches, kBatches);
+    for (int workers : {3, 4}) {
+        const DrainResult staged =
+            drainManager(cfg, store, workers, /*prefetch=*/true, kBatches);
+        EXPECT_EQ(staged.batches, kBatches) << workers << " workers";
+        EXPECT_EQ(staged.checksum, serial.checksum) << workers << " workers";
+        EXPECT_EQ(staged.stats.columnar_bytes_touched,
+                  serial.stats.columnar_bytes_touched)
+            << workers << " workers";
+        EXPECT_EQ(staged.stats.raw_bytes_p2p, serial.stats.raw_bytes_p2p)
+            << workers << " workers";
+    }
+}
+
+TEST(PrefetchPipelineTest, SteadyStateWithDecodeHelpersDoesNotAllocate)
+{
+    // Plans, chunk bounds, decoded shells, output batches and every
+    // thread's decode scratch are reused once warm: pulling batches in
+    // the steady state allocates nothing on any thread. (RM1 instead of
+    // RM5 keeps the up-front encode short; its partitions still cut
+    // into a chunk per page run for every worker.)
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 256;
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    // The manager's queues are std::deques, which allocate a block
+    // every 64 pushes; the whole run stays under one block.
+    constexpr size_t kBatches = 40;
+    for (uint64_t p = 0; p < kBatches; ++p)
+        store.partition(p);  // encode up front: the writer allocates
+
+    PreprocessManager manager(cfg, store, PreprocessMode::kPreSto, 4, 2,
+                              /*prefetch=*/true);
+    manager.start(kBatches);
+    auto pull = [&](size_t n) {
+        for (size_t i = 0; i < n; ++i) {
             auto mb = manager.nextBatch();
-            if (mb == nullptr)
-                break;
-            sum ^= batchChecksum(*mb);
-            ++count;
+            ASSERT_NE(mb, nullptr);
             manager.recycle(std::move(mb));
         }
-        EXPECT_EQ(count, kBatches);
-        stats = manager.stats();
-        return sum;
     };
+    // Warm every worker's decode scratch, then let the pipeline fill to
+    // its bounds while the trainer holds a batch: every decoded shell
+    // and output batch it can ever have in flight then exists, so the
+    // pulls after it only recycle.
+    pull(8);
+    auto held = manager.nextBatch();
+    ASSERT_NE(held, nullptr);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    manager.recycle(std::move(held));
 
-    RunStats staged, unstaged;
-    const uint64_t staged_sum = runChecksum(true, staged);
-    const uint64_t unstaged_sum = runChecksum(false, unstaged);
-    // Injected faults never change delivered bits — only retry counters.
-    EXPECT_EQ(staged_sum, unstaged_sum);
-    EXPECT_GT(staged.transient_read_errors, 0u);
-    EXPECT_EQ(staged.transient_read_errors, unstaged.transient_read_errors);
-    EXPECT_EQ(staged.corrupt_partition_refetches,
-              unstaged.corrupt_partition_refetches);
+    constexpr size_t kCounted = 12;
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    pull(kCounted);
+    g_count_allocs.store(false);
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "steady-state staged pipeline heap-allocated";
+    pull(kBatches - 9 - kCounted);
+    EXPECT_EQ(manager.nextBatch(), nullptr);
+}
+
+TEST(PrefetchPipelineTest, DestroyMidExtractionWithHelpersIsSafe)
+{
+    // The manager is destroyed while its fetcher is mid-partition and
+    // transformers hold page chunks of it: the destructor must wait for
+    // every chunk before the extraction's buffers go away.
+    const RmConfig cfg = rm5Small();
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    constexpr size_t kBatches = 8;
+    for (uint64_t p = 0; p < kBatches; ++p)
+        store.partition(p);
+    for (int round = 0; round < 16; ++round) {
+        PreprocessManager manager(cfg, store, PreprocessMode::kPreSto, 4, 1,
+                                  /*prefetch=*/true);
+        manager.start(kBatches);
+        if (round % 2 == 1) {
+            auto mb = manager.nextBatch();
+            ASSERT_NE(mb, nullptr);
+            EXPECT_TRUE(mb->consistent());
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
+    }
 }
 
 }  // namespace
