@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <unordered_map>
 
 #include "columnar/fast_decode_internal.h"
 
@@ -40,21 +39,150 @@ packedBytes(size_t count, size_t width)
     return (count * width + 7) / 8;
 }
 
-/** Append @p width-bit values LSB-first (reference bit-by-bit packer). */
+/**
+ * Append the low @p width bits of value_at(0) .. value_at(count - 1),
+ * packed LSB-first, flushing a 64-bit accumulator a word at a time.
+ */
+template <typename ValueAt>
 void
-putPackedBits(std::vector<uint8_t>& out, std::span<const uint64_t> values,
-              size_t width)
+putPackedBits(std::vector<uint8_t>& out, size_t count, size_t width,
+              ValueAt value_at)
 {
     const size_t start = out.size();
-    out.resize(start + packedBytes(values.size(), width), 0);
-    uint8_t* bytes = out.data() + start;
-    size_t bit = 0;
-    for (uint64_t v : values) {
-        for (size_t k = 0; k < width; ++k, ++bit) {
-            if ((v >> k) & 1)
-                bytes[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
+    out.resize(start + packedBytes(count, width));
+    if (width == 0)
+        return;
+    const uint64_t mask = ~uint64_t{0} >> (64 - width);
+    uint8_t* dst = out.data() + start;
+    uint64_t acc = 0;
+    size_t bits = 0;  // pending bits in acc, always < 64
+    for (size_t i = 0; i < count; ++i) {
+        const uint64_t v = value_at(i) & mask;
+        acc |= v << bits;
+        bits += width;
+        if (bits >= 64) {
+            std::memcpy(dst, &acc, sizeof(acc));
+            dst += sizeof(acc);
+            bits -= 64;
+            // The high bits of v that did not fit, if any.
+            acc = bits == 0 ? 0 : v >> (width - bits);
         }
     }
+    std::memcpy(dst, &acc, (bits + 7) / 8);
+}
+
+/**
+ * First-seen dictionary of an int64 slice: its distinct values in order
+ * of first appearance and each value's index into them, found through
+ * a flat open-addressing table of indices. chooseIntEncoding() and
+ * both dictionary encoders build it the same way, so the size the
+ * chooser predicts is the size the encoder writes.
+ */
+class FirstSeenDict
+{
+  public:
+    /**
+     * Index @p values. @return false, leaving the dictionary partial,
+     * as soon as more than @p cap distinct values appear.
+     */
+    bool
+    build(std::span<const int64_t> values, size_t cap)
+    {
+        distinct.clear();
+        indices.clear();
+        indices.reserve(values.size());
+        // Load factor <= 1/2 at the most distinct values that fit.
+        const size_t slots =
+            std::bit_ceil(2 * std::min(cap, values.size()) + 2);
+        const int shift = 64 - std::countr_zero(slots);
+        slots_.assign(slots, kEmpty);
+        for (int64_t v : values) {
+            size_t h = (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >>
+                       shift;
+            uint32_t idx = slots_[h];
+            while (idx != kEmpty && distinct[idx] != v) {
+                h = (h + 1) & (slots - 1);
+                idx = slots_[h];
+            }
+            if (idx == kEmpty) {
+                if (distinct.size() == cap)
+                    return false;
+                idx = static_cast<uint32_t>(distinct.size());
+                slots_[h] = idx;
+                distinct.push_back(v);
+            }
+            indices.push_back(idx);
+        }
+        return true;
+    }
+
+    std::vector<int64_t> distinct;
+    std::vector<uint32_t> indices;
+
+  private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+    std::vector<uint32_t> slots_;
+};
+
+/** One kBitPacked layout of a slice (see encoding.h framing). */
+struct BitPackedPlan {
+    uint8_t mode = 0;
+    size_t width = 0;
+    int64_t base = 0;  ///< mode 0: min value; mode 2: min delta
+    size_t bytes = 0;  ///< payload size
+};
+
+/**
+ * The smallest kBitPacked layout of @p values; on equal sizes mode 0
+ * beats mode 2, which beats mode 1. @p dict is the slice's dictionary,
+ * or null when it has more than kDictDistinctCap distinct values.
+ */
+BitPackedPlan
+planBitPacked(std::span<const int64_t> values, const FirstSeenDict* dict)
+{
+    const size_t n = values.size();
+    int64_t lo = n == 0 ? 0 : values[0];
+    int64_t hi = lo;
+    int64_t d_lo = 0;
+    int64_t d_hi = 0;
+    for (size_t i = 0; i < n; ++i) {
+        lo = std::min(lo, values[i]);
+        hi = std::max(hi, values[i]);
+        if (i > 0) {
+            // Unsigned subtraction: defined for any int64 range.
+            const auto d =
+                static_cast<int64_t>(static_cast<uint64_t>(values[i]) -
+                                     static_cast<uint64_t>(values[i - 1]));
+            d_lo = i == 1 ? d : std::min(d_lo, d);
+            d_hi = i == 1 ? d : std::max(d_hi, d);
+        }
+    }
+    const size_t direct_width = std::bit_width(
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo));
+    BitPackedPlan best{0, direct_width, lo,
+                       2 + varintLen(zigZag(lo)) +
+                           packedBytes(n, direct_width)};
+    if (n >= 2) {
+        // Frame of reference over deltas: monotone offset arrays and
+        // other near-constant-stride sequences.
+        const size_t width = std::bit_width(static_cast<uint64_t>(d_hi) -
+                                            static_cast<uint64_t>(d_lo));
+        const size_t bytes = 2 + varintLen(zigZag(values[0])) +
+                             varintLen(zigZag(d_lo)) +
+                             packedBytes(n - 1, width);
+        if (bytes < best.bytes)
+            best = {2, width, d_lo, bytes};
+    }
+    if (dict != nullptr) {
+        const size_t d = dict->distinct.size();
+        const size_t width = d == 0 ? 0 : std::bit_width(d - 1);
+        size_t bytes = 2 + varintLen(d) + packedBytes(n, width);
+        for (int64_t v : dict->distinct)
+            bytes += varintLen(zigZag(v));
+        if (bytes < best.bytes)
+            best = {1, width, 0, bytes};
+    }
+    return best;
 }
 
 /** Parsed and validated kBitPacked header (see encoding.h framing). */
@@ -220,21 +348,13 @@ encodeRle(std::span<const int64_t> values)
 std::vector<uint8_t>
 encodeDictionary(std::span<const int64_t> values)
 {
-    std::unordered_map<int64_t, uint64_t> dict;
-    std::vector<int64_t> distinct;
-    std::vector<uint64_t> indices;
-    indices.reserve(values.size());
-    for (int64_t v : values) {
-        auto [it, inserted] = dict.try_emplace(v, distinct.size());
-        if (inserted)
-            distinct.push_back(v);
-        indices.push_back(it->second);
-    }
+    static thread_local FirstSeenDict dict;
+    dict.build(values, SIZE_MAX);
     std::vector<uint8_t> out;
-    putVarint(out, distinct.size());
-    for (int64_t v : distinct)
+    putVarint(out, dict.distinct.size());
+    for (int64_t v : dict.distinct)
         putVarint(out, zigZag(v));
-    for (uint64_t idx : indices)
+    for (uint32_t idx : dict.indices)
         putVarint(out, idx);
     return out;
 }
@@ -242,95 +362,33 @@ encodeDictionary(std::span<const int64_t> values)
 std::vector<uint8_t>
 encodeBitPacked(std::span<const int64_t> values)
 {
-    // Frame-of-reference candidate.
-    int64_t lo = values.empty() ? 0 : values[0];
-    int64_t hi = lo;
-    for (int64_t v : values) {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-    }
-    const uint64_t range =
-        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-    const size_t direct_width = std::bit_width(range);
-    const size_t direct_size =
-        2 + varintLen(zigZag(lo)) + packedBytes(values.size(), direct_width);
-
-    // Bit-packed-dictionary candidate (first-seen order, capped).
-    std::unordered_map<int64_t, uint64_t> seen;
-    std::vector<int64_t> distinct;
-    std::vector<uint64_t> indices;
-    indices.reserve(values.size());
-    size_t entry_bytes = 0;
-    bool dict_ok = true;
-    for (int64_t v : values) {
-        auto [it, inserted] = seen.try_emplace(v, distinct.size());
-        if (inserted) {
-            if (distinct.size() == kDictDistinctCap) {
-                dict_ok = false;
-                break;
-            }
-            distinct.push_back(v);
-            entry_bytes += varintLen(zigZag(v));
-        }
-        indices.push_back(it->second);
-    }
-    const size_t index_width =
-        distinct.empty() ? 0 : std::bit_width(distinct.size() - 1);
-    const size_t dict_size = 2 + varintLen(distinct.size()) + entry_bytes +
-                             packedBytes(values.size(), index_width);
-
-    // Frame-of-reference-over-deltas candidate (monotone offset arrays
-    // and other near-constant-stride sequences).
-    int64_t d_lo = 0;
-    int64_t d_hi = 0;
-    for (size_t i = 1; i < values.size(); ++i) {
-        const auto d =
-            static_cast<int64_t>(static_cast<uint64_t>(values[i]) -
-                                 static_cast<uint64_t>(values[i - 1]));
-        d_lo = i == 1 ? d : std::min(d_lo, d);
-        d_hi = i == 1 ? d : std::max(d_hi, d);
-    }
-    const uint64_t d_range =
-        static_cast<uint64_t>(d_hi) - static_cast<uint64_t>(d_lo);
-    const size_t delta_width = std::bit_width(d_range);
-    const size_t delta_size =
-        values.size() < 2
-            ? SIZE_MAX
-            : 2 + varintLen(zigZag(values[0])) + varintLen(zigZag(d_lo)) +
-                  packedBytes(values.size() - 1, delta_width);
-
-    std::vector<uint8_t> out;
-    const size_t best =
-        std::min({direct_size, delta_size, dict_ok ? dict_size : SIZE_MAX});
-    if (direct_size == best) {
-        out.push_back(0);
-        putVarint(out, zigZag(lo));
-        out.push_back(static_cast<uint8_t>(direct_width));
-        std::vector<uint64_t> deltas(values.size());
-        for (size_t i = 0; i < values.size(); ++i) {
-            deltas[i] = static_cast<uint64_t>(values[i]) -
-                        static_cast<uint64_t>(lo);
-        }
-        putPackedBits(out, deltas, direct_width);
-    } else if (delta_size == best) {
-        out.push_back(2);
+    static thread_local FirstSeenDict dict;
+    const bool dict_ok = dict.build(values, kDictDistinctCap);
+    const BitPackedPlan plan =
+        planBitPacked(values, dict_ok ? &dict : nullptr);
+    const auto base = static_cast<uint64_t>(plan.base);
+    std::vector<uint8_t> out{plan.mode};
+    if (plan.mode == 0) {
+        putVarint(out, zigZag(plan.base));
+        out.push_back(static_cast<uint8_t>(plan.width));
+        putPackedBits(out, values.size(), plan.width, [&](size_t i) {
+            return static_cast<uint64_t>(values[i]) - base;
+        });
+    } else if (plan.mode == 2) {
         putVarint(out, zigZag(values[0]));
-        putVarint(out, zigZag(d_lo));
-        out.push_back(static_cast<uint8_t>(delta_width));
-        std::vector<uint64_t> excess(values.size() - 1);
-        for (size_t i = 1; i < values.size(); ++i) {
-            excess[i - 1] = static_cast<uint64_t>(values[i]) -
-                            static_cast<uint64_t>(values[i - 1]) -
-                            static_cast<uint64_t>(d_lo);
-        }
-        putPackedBits(out, excess, delta_width);
+        putVarint(out, zigZag(plan.base));
+        out.push_back(static_cast<uint8_t>(plan.width));
+        putPackedBits(out, values.size() - 1, plan.width, [&](size_t i) {
+            return static_cast<uint64_t>(values[i + 1]) -
+                   static_cast<uint64_t>(values[i]) - base;
+        });
     } else {
-        out.push_back(1);
-        putVarint(out, distinct.size());
-        for (int64_t v : distinct)
+        putVarint(out, dict.distinct.size());
+        for (int64_t v : dict.distinct)
             putVarint(out, zigZag(v));
-        out.push_back(static_cast<uint8_t>(index_width));
-        putPackedBits(out, indices, index_width);
+        out.push_back(static_cast<uint8_t>(plan.width));
+        putPackedBits(out, values.size(), plan.width,
+                      [&](size_t i) { return dict.indices[i]; });
     }
     return out;
 }
@@ -616,19 +674,12 @@ chooseIntEncoding(std::span<const int64_t> values)
     if (values.empty())
         return Encoding::kVarint;
 
-    // One pass accumulating the exact encoded size of every candidate.
-    std::unordered_map<int64_t, uint64_t> seen;
+    // One pass sizes the varint, delta and RLE candidates exactly; the
+    // dictionary and bit-packed sizes come from the slice's dictionary.
     size_t varint_bytes = 0;
     size_t delta_bytes = 0;
     size_t rle_bytes = 0;
-    size_t dict_entry_bytes = 0;
-    size_t dict_index_bytes = 0;
     bool monotone = true;
-    bool dict_ok = true;
-    int64_t lo = values[0];
-    int64_t hi = values[0];
-    int64_t d_lo = 0;
-    int64_t d_hi = 0;
     int64_t run_value = values[0];
     size_t run_len = 0;
     uint64_t prev = 0;
@@ -638,15 +689,8 @@ chooseIntEncoding(std::span<const int64_t> values)
         const uint64_t delta = static_cast<uint64_t>(v) - prev;
         delta_bytes += varintLen(zigZag(static_cast<int64_t>(delta)));
         prev = static_cast<uint64_t>(v);
-        if (i > 0) {
-            const auto d = static_cast<int64_t>(delta);
-            d_lo = i == 1 ? d : std::min(d_lo, d);
-            d_hi = i == 1 ? d : std::max(d_hi, d);
-        }
         if (i > 0 && v < values[i - 1])
             monotone = false;
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
         if (v == run_value && i > 0) {
             ++run_len;
         } else {
@@ -655,48 +699,23 @@ chooseIntEncoding(std::span<const int64_t> values)
             run_value = v;
             run_len = 1;
         }
-        if (dict_ok) {
-            auto [it, inserted] = seen.try_emplace(v, seen.size());
-            if (inserted && seen.size() > kDictDistinctCap)
-                dict_ok = false;
-            if (dict_ok) {
-                if (inserted)
-                    dict_entry_bytes += varintLen(zigZag(v));
-                dict_index_bytes += varintLen(it->second);
-            }
-        }
     }
     rle_bytes += varintLen(run_len) + varintLen(zigZag(run_value));
 
-    const size_t n = values.size();
-    const uint64_t range =
-        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-    size_t bp_bytes =
-        2 + varintLen(zigZag(lo)) + packedBytes(n, std::bit_width(range));
-    if (n >= 2) {
-        // kBitPacked mode 2: frame-of-reference over consecutive deltas.
-        const uint64_t d_range =
-            static_cast<uint64_t>(d_hi) - static_cast<uint64_t>(d_lo);
-        const size_t bp_delta = 2 + varintLen(zigZag(values[0])) +
-                                varintLen(zigZag(d_lo)) +
-                                packedBytes(n - 1, std::bit_width(d_range));
-        bp_bytes = std::min(bp_bytes, bp_delta);
-    }
-    size_t dict_bytes = 0;
-    if (dict_ok) {
-        const size_t d = seen.size();  // >= 1 here
-        const size_t index_width =
-            std::bit_width(static_cast<uint64_t>(d - 1));
-        const size_t bp_dict = 2 + varintLen(d) + dict_entry_bytes +
-                               packedBytes(n, index_width);
-        bp_bytes = std::min(bp_bytes, bp_dict);
-        dict_bytes = varintLen(d) + dict_entry_bytes + dict_index_bytes;
-    }
+    static thread_local FirstSeenDict dict;
+    const bool dict_ok = dict.build(values, kDictDistinctCap);
+    const size_t bp_bytes =
+        planBitPacked(values, dict_ok ? &dict : nullptr).bytes;
+    size_t dict_bytes = varintLen(dict.distinct.size());
+    for (int64_t v : dict.distinct)
+        dict_bytes += varintLen(zigZag(v));
+    for (uint32_t idx : dict.indices)
+        dict_bytes += varintLen(idx);
 
     // Candidates in decode-speed order; a later one must be strictly
     // smaller to win.
     Encoding best = Encoding::kPlainI64;
-    size_t best_bytes = n * sizeof(int64_t);
+    size_t best_bytes = values.size() * sizeof(int64_t);
     const auto consider = [&](Encoding e, size_t bytes) {
         if (bytes < best_bytes) {
             best = e;

@@ -38,66 +38,10 @@ reverseBits(uint32_t code, int len)
 }
 
 /**
- * Length-limited code lengths via package-merge (Larmore-Hirschberg).
- * Guarantees a Kraft-complete set of lengths <= kMaxHuffCodeLen for any
- * 2..256 active symbols, which a plain Huffman tree plus ad-hoc depth
- * repair does not.
- */
-void
-packageMerge(const std::array<uint64_t, kNumSymbols>& freq,
-             std::array<uint8_t, kNumSymbols>& lengths)
-{
-    struct Node {
-        uint64_t weight;
-        // Symbols covered by this (possibly packaged) node; a symbol's
-        // final code length is its occurrence count across the chosen
-        // prefix of the last level.
-        std::vector<uint16_t> syms;
-    };
-
-    std::vector<Node> items;
-    for (uint32_t s = 0; s < kNumSymbols; ++s)
-        if (freq[s] > 0)
-            items.push_back({freq[s], {static_cast<uint16_t>(s)}});
-    std::sort(items.begin(), items.end(),
-              [](const Node& a, const Node& b) {
-                  return a.weight != b.weight ? a.weight < b.weight
-                                              : a.syms[0] < b.syms[0];
-              });
-
-    std::vector<Node> prev = items;
-    for (int level = 1; level < kMaxHuffCodeLen; ++level) {
-        std::vector<Node> packages;
-        for (size_t i = 0; i + 1 < prev.size(); i += 2) {
-            Node merged;
-            merged.weight = prev[i].weight + prev[i + 1].weight;
-            merged.syms = prev[i].syms;
-            merged.syms.insert(merged.syms.end(), prev[i + 1].syms.begin(),
-                               prev[i + 1].syms.end());
-            packages.push_back(std::move(merged));
-        }
-        std::vector<Node> next;
-        next.reserve(items.size() + packages.size());
-        std::merge(items.begin(), items.end(),
-                   std::make_move_iterator(packages.begin()),
-                   std::make_move_iterator(packages.end()),
-                   std::back_inserter(next),
-                   [](const Node& a, const Node& b) {
-                       return a.weight < b.weight;
-                   });
-        prev = std::move(next);
-    }
-
-    lengths.fill(0);
-    const size_t chosen = 2 * items.size() - 2;
-    for (size_t i = 0; i < chosen && i < prev.size(); ++i)
-        for (uint16_t s : prev[i].syms)
-            ++lengths[s];
-}
-
-/**
  * Assign canonical codes (MSB-first numbering: shorter codes are
- * numerically smaller prefixes) from a length table.
+ * numerically smaller prefixes) from a length table, each stored
+ * bit-reversed so the encoder can shift it straight into its LSB-first
+ * bitstream.
  */
 void
 canonicalCodes(const std::array<uint8_t, kNumSymbols>& lengths,
@@ -115,7 +59,8 @@ canonicalCodes(const std::array<uint8_t, kNumSymbols>& lengths,
     }
     for (uint32_t s = 0; s < kNumSymbols; ++s)
         if (lengths[s] > 0)
-            codes[s] = static_cast<uint16_t>(next[lengths[s]]++);
+            codes[s] = static_cast<uint16_t>(
+                reverseBits(next[lengths[s]]++, lengths[s]));
 }
 
 /**
@@ -226,6 +171,85 @@ loadLe64(const uint8_t* p)
 
 namespace enc {
 
+/*
+ * Package-merge (Larmore-Hirschberg) guarantees a Kraft-complete set of
+ * lengths <= kMaxHuffCodeLen for any 2..256 active symbols, which a
+ * plain Huffman tree plus ad-hoc depth repair does not. Each level's
+ * list merges the sorted leaves with the pairwise packages of the level
+ * before (a leaf first on equal weights); only weights and leaf flags
+ * are kept. The p packages in a level's chosen prefix cover the first
+ * 2p entries of the level before, and the leaves in it are the lightest
+ * ones, so walking back down from the last level's first 2n - 2 entries
+ * adds one bit to each leaf in every chosen prefix.
+ */
+void
+huffCodeLengths(const std::array<uint64_t, kNumSymbols>& freq,
+                std::array<uint8_t, kNumSymbols>& lengths)
+{
+    // Leaves sorted by (weight, symbol) as packed keys, then their
+    // weights with a sentinel no package outweighs.
+    std::array<uint64_t, kNumSymbols> keys{};
+    uint32_t n = 0;
+    for (uint32_t s = 0; s < kNumSymbols; ++s)
+        if (freq[s] > 0)
+            keys[n++] = freq[s] << 8 | s;
+    std::sort(keys.begin(), keys.begin() + n);
+    std::array<uint64_t, kNumSymbols + 1> leaf_weight{};
+    for (uint32_t i = 0; i < n; ++i)
+        leaf_weight[i] = keys[i] >> 8;
+    leaf_weight[n] = UINT64_MAX;
+
+    // Consecutive lists agree on a growing prefix, and so do their
+    // packages; each merge resumes where its first changed package
+    // enters and rewrites the list in place from there.
+    constexpr uint32_t kMaxEntries = 2 * kNumSymbols;
+    std::array<std::array<uint8_t, kMaxEntries>, kMaxHuffCodeLen> is_leaf{};
+    std::array<uint64_t, kMaxEntries> weight{};
+    std::array<uint64_t, kNumSymbols> package{};
+    std::array<uint32_t, kNumSymbols> package_at{};  // position in list
+    std::fill_n(is_leaf[0].begin(), n, uint8_t{1});
+    std::copy_n(leaf_weight.begin(), n, weight.begin());
+    uint32_t size = n;
+    uint32_t same = 0;  // leading entries equal to the previous list's
+    for (int level = 1; level < kMaxHuffCodeLen; ++level) {
+        const uint32_t packages = size / 2;
+        const uint32_t kept = same / 2;
+        for (uint32_t j = kept; j < packages; ++j)
+            package[j] = weight[2 * j] + weight[2 * j + 1];
+        package[packages] = UINT64_MAX;
+        uint32_t m = kept > 0 ? package_at[kept - 1] + 1 : 0;
+        uint32_t leaf = m - kept;
+        uint32_t pkg = kept;
+        std::copy_n(is_leaf[level - 1].begin(), m, is_leaf[level].begin());
+        size = n + packages;
+        same = m;
+        // Branch-free: the sentinels steer the merge once a side runs
+        // out, and package_at[pkg] ends at the position where package
+        // pkg is taken. Lists only grow, so past the previous list
+        // weight[m] is still 0 and matches no weight.
+        for (; m < size; ++m) {
+            const bool take_leaf = leaf_weight[leaf] <= package[pkg];
+            const uint64_t w = take_leaf ? leaf_weight[leaf] : package[pkg];
+            same += (same == m) & (weight[m] == w);
+            weight[m] = w;
+            is_leaf[level][m] = take_leaf;
+            package_at[pkg] = m;
+            leaf += take_leaf;
+            pkg += !take_leaf;
+        }
+    }
+
+    lengths.fill(0);
+    uint32_t take = std::min(2 * n - 2, size);
+    for (int level = kMaxHuffCodeLen - 1; level >= 0; --level) {
+        const uint32_t leaves = static_cast<uint32_t>(std::count(
+            is_leaf[level].begin(), is_leaf[level].begin() + take, 1));
+        for (uint32_t i = 0; i < leaves; ++i)
+            ++lengths[keys[i] & 0xFF];
+        take = 2 * (take - leaves);
+    }
+}
+
 void
 huffCompress(std::span<const uint8_t> in, std::vector<uint8_t>& out)
 {
@@ -234,16 +258,27 @@ huffCompress(std::span<const uint8_t> in, std::vector<uint8_t>& out)
     if (in.empty())
         return;
 
+    // Per-lane histograms: their sum is the code's, and each lane's bit
+    // count follows from its own once the lengths are known.
+    const size_t n = in.size();
+    size_t lane_begin[kNumHuffLanes + 1];
+    for (uint32_t k = 0; k <= kNumHuffLanes; ++k)
+        lane_begin[k] = n * k / kNumHuffLanes;
+    std::array<std::array<uint64_t, kNumSymbols>, kNumHuffLanes> lane_freq{};
+    for (uint32_t k = 0; k < kNumHuffLanes; ++k)
+        for (size_t i = lane_begin[k]; i < lane_begin[k + 1]; ++i)
+            ++lane_freq[k][in[i]];
     std::array<uint64_t, kNumSymbols> freq{};
-    for (uint8_t b : in)
-        ++freq[b];
     uint32_t distinct = 0;
     uint32_t only = 0;
-    for (uint32_t s = 0; s < kNumSymbols; ++s)
+    for (uint32_t s = 0; s < kNumSymbols; ++s) {
+        for (uint32_t k = 0; k < kNumHuffLanes; ++k)
+            freq[s] += lane_freq[k][s];
         if (freq[s] > 0) {
             ++distinct;
             only = s;
         }
+    }
     if (distinct == 1) {
         out.push_back(kModeSingle);
         out.push_back(static_cast<uint8_t>(only));
@@ -251,54 +286,53 @@ huffCompress(std::span<const uint8_t> in, std::vector<uint8_t>& out)
     }
 
     std::array<uint8_t, kNumSymbols> lengths{};
-    packageMerge(freq, lengths);
+    huffCodeLengths(freq, lengths);
     std::array<uint16_t, kNumSymbols> codes{};
     canonicalCodes(lengths, codes);
 
     out.push_back(kModeHuffman);
-
-    // Pre-reverse the codes so the hot loop is a single shift-or into
-    // the LSB-first accumulator.
-    std::array<uint16_t, kNumSymbols> emit{};
-    for (uint32_t s = 0; s < kNumSymbols; ++s)
-        if (lengths[s] > 0)
-            emit[s] = static_cast<uint16_t>(
-                reverseBits(codes[s], lengths[s]));
-
-    // Pack the lanes into reused scratch first: their byte sizes go in
-    // the header ahead of them (all but the last, which the stream end
-    // implies).
-    static thread_local std::vector<uint8_t> lane_buf;
-    lane_buf.clear();
-    const size_t n = in.size();
+    // Lane byte sizes go in the header ahead of the lanes (all but the
+    // last, which the stream end implies).
     size_t lane_bytes[kNumHuffLanes];
+    size_t total_bytes = 0;
     for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
-        const size_t begin = n * k / kNumHuffLanes;
-        const size_t end = n * (k + 1) / kNumHuffLanes;
-        const size_t start = lane_buf.size();
-        uint64_t bitbuf = 0;
-        uint32_t bitcount = 0;
-        for (size_t i = begin; i < end; ++i) {
-            const uint8_t b = in[i];
-            bitbuf |= static_cast<uint64_t>(emit[b]) << bitcount;
-            bitcount += lengths[b];
-            while (bitcount >= 8) {
-                lane_buf.push_back(static_cast<uint8_t>(bitbuf));
-                bitbuf >>= 8;
-                bitcount -= 8;
-            }
-        }
-        if (bitcount > 0)
-            lane_buf.push_back(static_cast<uint8_t>(bitbuf));
-        lane_bytes[k] = lane_buf.size() - start;
+        uint64_t bits = 0;
+        for (uint32_t s = 0; s < kNumSymbols; ++s)
+            bits += lane_freq[k][s] * lengths[s];
+        lane_bytes[k] = (bits + 7) / 8;
+        total_bytes += lane_bytes[k];
     }
-
     for (uint32_t k = 0; k + 1 < kNumHuffLanes; ++k)
         putVarint(out, lane_bytes[k]);
     for (uint32_t i = 0; i < kTableBytes; ++i)
         out.push_back(
             static_cast<uint8_t>(lengths[2 * i] | lengths[2 * i + 1] << 4));
-    out.insert(out.end(), lane_buf.begin(), lane_buf.end());
+
+    // Pack each lane in place with whole 64-bit stores. A store may run
+    // up to 8 bytes past the lane's end: the next lane overwrites those
+    // bytes, and the last lane's land in slack trimmed afterwards.
+    const size_t lanes_at = out.size();
+    out.resize(lanes_at + total_bytes + sizeof(uint64_t));
+    uint8_t* dst = out.data() + lanes_at;
+    for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
+        uint64_t bitbuf = 0;
+        uint32_t bitcount = 0;
+        uint8_t* p = dst;
+        for (size_t i = lane_begin[k]; i < lane_begin[k + 1]; ++i) {
+            const uint8_t b = in[i];
+            bitbuf |= static_cast<uint64_t>(codes[b]) << bitcount;
+            bitcount += lengths[b];
+            if (bitcount >= 32) {
+                std::memcpy(p, &bitbuf, sizeof(bitbuf));
+                p += bitcount >> 3;
+                bitbuf >>= bitcount & ~7u;
+                bitcount &= 7;
+            }
+        }
+        std::memcpy(p, &bitbuf, sizeof(bitbuf));
+        dst += lane_bytes[k];
+    }
+    out.resize(lanes_at + total_bytes);
 }
 
 std::vector<uint8_t>

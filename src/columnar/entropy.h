@@ -49,6 +49,7 @@
 #ifndef PRESTO_COLUMNAR_ENTROPY_H_
 #define PRESTO_COLUMNAR_ENTROPY_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -73,6 +74,14 @@ struct HuffStreamInfo {
 };
 
 namespace enc {
+
+/**
+ * The code lengths huffCompress() stores for a histogram of at least two
+ * non-zero weights, each below 2^56: Kraft-complete, at most
+ * kMaxHuffCodeLen, and 0 for absent symbols.
+ */
+void huffCodeLengths(const std::array<uint64_t, 256>& freq,
+                     std::array<uint8_t, 256>& lengths);
 
 /**
  * Entropy-code @p in, appending to @p out (cleared first; capacity is

@@ -13,6 +13,7 @@
 #include "columnar/dataset.h"
 #include "columnar/encoding.h"
 #include "columnar/page.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "datagen/generator.h"
 
@@ -602,6 +603,46 @@ TEST(FileTest, CompressedFileDecodesBitIdenticalToUncompressed)
         ASSERT_TRUE(plain_reader.readAllInto(b).ok());
         EXPECT_EQ(a, b) << "RM" << rm;
         EXPECT_EQ(a, batch) << "RM" << rm;
+    }
+}
+
+struct GoldenFile {
+    int rm;
+    size_t rows;
+    PageCodec codec;
+    size_t size;
+    uint32_t crc;
+};
+
+TEST(FileTest, WriterBytesMatchGolden)
+{
+    // The writer's exact output for fixed-seed partitions, recorded
+    // before the encoders were last optimized: any change to page
+    // encoding choice, bit packing, Huffman code lengths or codec menu
+    // order shows up here as a different CRC or length.
+    const GoldenFile golden[] = {
+        {1, 4096, PageCodec::kNone, 986481, 0x912ab550},
+        {1, 4096, PageCodec::kLz, 870712, 0x2ea4148a},
+        {1, 4096, PageCodec::kEntropy, 918999, 0xbd87f9d4},
+        {1, 4096, PageCodec::kLzEntropy, 843940, 0x86bfa0e2},
+        {5, 512, PageCodec::kNone, 4443659, 0x2d374e74},
+        {5, 512, PageCodec::kLz, 3657500, 0xc2283bde},
+        {5, 512, PageCodec::kEntropy, 4403810, 0x82c66f18},
+        {5, 512, PageCodec::kLzEntropy, 3574330, 0xbcf1d437},
+    };
+    for (const auto& g : golden) {
+        GeneratorOptions gen_opts;
+        gen_opts.seed = 20240607;
+        const RowBatch batch =
+            RawDataGenerator(rmConfig(g.rm), gen_opts)
+                .generatePartition(3, g.rows);
+        WriterOptions opts;
+        opts.codec = g.codec;
+        const auto bytes = ColumnarFileWriter(opts).write(batch, 3);
+        EXPECT_EQ(bytes.size(), g.size)
+            << "RM" << g.rm << " codec " << static_cast<int>(g.codec);
+        EXPECT_EQ(crc32c(bytes.data(), bytes.size()), g.crc)
+            << "RM" << g.rm << " codec " << static_cast<int>(g.codec);
     }
 }
 

@@ -538,6 +538,115 @@ TEST(BitPackedTest, EncoderPicksDeltaModeForMonotoneOffsets)
                                 strided.size(), "constant stride");
 }
 
+/**
+ * The encoder's payload must equal the one the test-local bit-by-bit
+ * packer builds for the same mode and width, and must decode back
+ * through the reference and every dispatched decoder.
+ */
+void
+expectEncoderMatchesReference(const std::vector<int64_t>& values,
+                              uint8_t mode, unsigned width,
+                              const std::vector<uint8_t>& want)
+{
+    const std::string what = "mode=" + std::to_string(mode) +
+                             " width=" + std::to_string(width) +
+                             " n=" + std::to_string(values.size());
+    const auto payload = enc::encodeBitPacked(values);
+    ASSERT_FALSE(payload.empty()) << what;
+    ASSERT_EQ(payload[0], mode) << what;
+    ASSERT_EQ(payload, want) << what;
+    std::vector<int64_t> out, dict;
+    ASSERT_TRUE(enc::decodeI64Reference(Encoding::kBitPacked, payload,
+                                        values.size(), out, dict)
+                    .ok())
+        << what;
+    ASSERT_EQ(out, values) << what;
+    expectReferenceAndFastAgree(Encoding::kBitPacked, payload,
+                                values.size(), what);
+}
+
+TEST(BitPackedTest, EncoderMatchesBitByBitPackerInEveryModeAndWidth)
+{
+    // More than 4096 distinct values rule the dictionary out for modes
+    // 0 and 2; the two sizes end the packed block at different bit
+    // offsets.
+    std::mt19937_64 rng(14);
+    for (unsigned width = 0; width <= 64; ++width) {
+        const uint64_t mask =
+            width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+        for (size_t n : {size_t{4097}, size_t{5003}}) {
+            // Mode 0: base + offsets spanning exactly `width` bits.
+            const int64_t base = width == 64
+                                     ? std::numeric_limits<int64_t>::min()
+                                     : -1000;
+            std::vector<int64_t> values(n);
+            std::vector<uint64_t> offsets(n);
+            for (size_t i = 0; i < n; ++i) {
+                offsets[i] = i == 0 ? 0 : i == 1 ? mask : rng() & mask;
+                values[i] = static_cast<int64_t>(
+                    static_cast<uint64_t>(base) + offsets[i]);
+            }
+            expectEncoderMatchesReference(
+                values, 0, width, makeDirectPayload(base, offsets, width));
+
+            // Mode 2: a large stride plus excesses spanning `width` bits,
+            // so the values themselves need far more.
+            const int64_t stride = width >= 63
+                                       ? std::numeric_limits<int64_t>::min()
+                                       : int64_t{1} << 40;
+            std::vector<uint64_t> excesses(n - 1);
+            values[0] = 0;
+            for (size_t i = 1; i < n; ++i) {
+                excesses[i - 1] =
+                    i == 1 ? 0 : i == 2 ? mask : rng() & mask;
+                values[i] = static_cast<int64_t>(
+                    static_cast<uint64_t>(values[i - 1]) +
+                    static_cast<uint64_t>(stride) + excesses[i - 1]);
+            }
+            expectEncoderMatchesReference(
+                values, 2, width,
+                makeDeltaPayload(0, stride, excesses, width));
+        }
+    }
+    // Mode 1: indices are at most 12 bits wide (4096 distinct values),
+    // and a one-value page always packs as mode 0, so widths 1..12.
+    for (unsigned width = 1; width <= 12; ++width) {
+        const size_t distinct = size_t{1} << width;
+        std::vector<int64_t> dict(distinct);
+        for (size_t j = 0; j < distinct; ++j)
+            dict[j] = static_cast<int64_t>(j << 40 | (rng() & 0xFFFFF));
+        const size_t n = 20000;
+        std::vector<int64_t> values(n);
+        std::vector<uint64_t> indices(n);
+        for (size_t i = 0; i < n; ++i) {
+            indices[i] = i < distinct ? i : rng() % distinct;
+            values[i] = dict[indices[i]];
+        }
+        expectEncoderMatchesReference(values, 1, width,
+                                      makeDictPayload(dict, indices, width));
+    }
+}
+
+TEST(BitPackedTest, DictionaryModeStopsAtCapDistinctValues)
+{
+    // Widely spread values repeated many times: the dictionary layout
+    // wins while it is allowed, which is up to 4096 distinct values.
+    std::mt19937_64 rng(15);
+    for (size_t distinct : {size_t{4096}, size_t{4097}}) {
+        std::vector<int64_t> values(40000);
+        for (size_t i = 0; i < values.size(); ++i) {
+            const uint64_t j = i < distinct ? i : rng() % distinct;
+            values[i] = static_cast<int64_t>(j << 40 | 12345);
+        }
+        const auto payload = enc::encodeBitPacked(values);
+        ASSERT_FALSE(payload.empty());
+        EXPECT_EQ(payload[0] == 1, distinct == 4096) << distinct;
+        expectReferenceAndFastAgree(Encoding::kBitPacked, payload,
+                                    values.size(),
+                                    "cap " + std::to_string(distinct));
+    }
+}
+
 TEST(BitPackedTest, DeltaModeAdversarialPayloadsRejected)
 {
     const auto good = makeDeltaPayload(10, -3, {1, 2, 3, 4, 5, 6}, 5);

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -262,6 +263,192 @@ TEST(HuffRoundTripTest, RandomFuzzRoundTrips)
         ASSERT_TRUE(enc::huffDecompress(packed, out).ok())
             << distName(d) << " iter " << iter;
         EXPECT_EQ(out, raw) << distName(d) << " iter " << iter;
+    }
+}
+
+// --- code lengths against a package-merge oracle ---------------------------
+
+using Histogram = std::array<uint64_t, 256>;
+using Lengths = std::array<uint8_t, 256>;
+
+/**
+ * Textbook package-merge that carries every package's symbol list: a
+ * symbol's length is its occurrence count in the chosen 2n - 2 entries
+ * of the last level. Leaves sort by (weight, symbol), and std::merge
+ * puts a leaf before a package of equal weight.
+ */
+Lengths
+oracleCodeLengths(const Histogram& freq)
+{
+    struct Node {
+        uint64_t weight;
+        std::vector<uint16_t> syms;
+    };
+    std::vector<Node> items;
+    for (uint32_t s = 0; s < 256; ++s)
+        if (freq[s] > 0)
+            items.push_back({freq[s], {static_cast<uint16_t>(s)}});
+    std::sort(items.begin(), items.end(), [](const Node& a, const Node& b) {
+        return a.weight != b.weight ? a.weight < b.weight
+                                    : a.syms[0] < b.syms[0];
+    });
+    std::vector<Node> prev = items;
+    for (int level = 1; level < kMaxHuffCodeLen; ++level) {
+        std::vector<Node> packages;
+        for (size_t i = 0; i + 1 < prev.size(); i += 2) {
+            Node merged{prev[i].weight + prev[i + 1].weight, prev[i].syms};
+            merged.syms.insert(merged.syms.end(), prev[i + 1].syms.begin(),
+                               prev[i + 1].syms.end());
+            packages.push_back(std::move(merged));
+        }
+        std::vector<Node> next;
+        std::merge(items.begin(), items.end(), packages.begin(),
+                   packages.end(), std::back_inserter(next),
+                   [](const Node& a, const Node& b) {
+                       return a.weight < b.weight;
+                   });
+        prev = std::move(next);
+    }
+    Lengths lengths{};
+    for (size_t i = 0; i < 2 * items.size() - 2 && i < prev.size(); ++i)
+        for (uint16_t s : prev[i].syms)
+            ++lengths[s];
+    return lengths;
+}
+
+/** Lengths in 1..kMaxHuffCodeLen for exactly the present symbols, with
+ *  a Kraft sum of exactly one. */
+void
+expectKraftComplete(const Histogram& freq, const Lengths& lengths,
+                    const std::string& what)
+{
+    uint64_t kraft = 0;
+    for (uint32_t s = 0; s < 256; ++s) {
+        ASSERT_EQ(lengths[s] > 0, freq[s] > 0) << what << " symbol " << s;
+        ASSERT_LE(lengths[s], kMaxHuffCodeLen) << what << " symbol " << s;
+        if (lengths[s] > 0)
+            kraft += uint64_t{1} << (kMaxHuffCodeLen - lengths[s]);
+    }
+    EXPECT_EQ(kraft, uint64_t{1} << kMaxHuffCodeLen) << what;
+}
+
+/**
+ * huffCodeLengths() must equal the oracle, and, when the histogram is
+ * small enough to spell out as bytes, so must the nibble table that
+ * huffCompress() stores for those bytes.
+ */
+void
+expectMatchesOracle(const Histogram& freq, const std::string& what)
+{
+    const Lengths want = oracleCodeLengths(freq);
+    expectKraftComplete(freq, want, what);
+    Lengths got{};
+    enc::huffCodeLengths(freq, got);
+    ASSERT_EQ(got, want) << what;
+
+    const uint64_t total = std::accumulate(freq.begin(), freq.end(),
+                                           uint64_t{0});
+    if (total > (uint64_t{1} << 20))
+        return;
+    std::vector<uint8_t> raw;
+    for (uint32_t s = 0; s < 256; ++s)
+        raw.insert(raw.end(), freq[s], static_cast<uint8_t>(s));
+    std::shuffle(raw.begin(), raw.end(), std::mt19937_64(total));
+    const auto packed = enc::huffCompress(raw);
+    HuffStreamInfo info;
+    ASSERT_TRUE(enc::huffStreamInfo(packed, info).ok()) << what;
+    ASSERT_EQ(info.mode, 0) << what;
+    Lengths stored{};
+    const size_t table_at = info.header_bytes - info.table_bytes;
+    for (uint32_t i = 0; i < info.table_bytes; ++i) {
+        stored[2 * i] = packed[table_at + i] & 0xF;
+        stored[2 * i + 1] = packed[table_at + i] >> 4;
+    }
+    ASSERT_EQ(stored, want) << what;
+    std::vector<uint8_t> out(raw.size());
+    ASSERT_TRUE(enc::huffDecompress(packed, out).ok()) << what;
+    ASSERT_EQ(out, raw) << what;
+}
+
+TEST(HuffCodeLengthTest, MatchesPackageMergeOracle)
+{
+    std::mt19937_64 rng(31);
+    // Random histograms: any number of symbols, weights from flat to
+    // heavily skewed.
+    for (int iter = 0; iter < 300; ++iter) {
+        Histogram freq{};
+        const uint32_t active = 2 + rng() % 255;
+        const uint64_t max_weight = uint64_t{1} << (rng() % 13);
+        uint32_t placed = 0;
+        while (placed < active) {
+            const uint32_t s = rng() % 256;
+            if (freq[s] == 0) {
+                freq[s] = 1 + rng() % max_weight;
+                ++placed;
+            }
+        }
+        expectMatchesOracle(freq, "random " + std::to_string(iter));
+    }
+
+    // Fibonacci weights: the unlimited Huffman tree is a chain far
+    // deeper than kMaxHuffCodeLen, so the limit binds.
+    for (uint32_t count : {12u, 16u, 24u, 30u}) {
+        Histogram freq{};
+        uint64_t a = 1, b = 1;
+        for (uint32_t k = 0; k < count; ++k) {
+            freq[(k * 37) % 256] = a;
+            const uint64_t c = a + b;
+            a = b;
+            b = c;
+        }
+        const Lengths lengths = oracleCodeLengths(freq);
+        EXPECT_EQ(*std::max_element(lengths.begin(), lengths.end()),
+                  kMaxHuffCodeLen)
+            << "fibonacci " << count;
+        expectMatchesOracle(freq, "fibonacci " + std::to_string(count));
+    }
+
+    // All-equal ties, between leaves and with the packages they form.
+    for (uint32_t active : {3u, 5u, 100u, 200u, 256u}) {
+        for (uint64_t weight : {uint64_t{1}, uint64_t{7}}) {
+            Histogram freq{};
+            for (uint32_t s = 0; s < active; ++s)
+                freq[255 - s * (256 / active)] = weight;
+            expectMatchesOracle(freq, "equal " + std::to_string(active) +
+                                          "x" + std::to_string(weight));
+        }
+    }
+
+    // Exactly two symbols, balanced and lopsided.
+    for (uint64_t w : {uint64_t{1}, uint64_t{1000}}) {
+        Histogram freq{};
+        freq[0] = 1;
+        freq[255] = w;
+        expectMatchesOracle(freq, "two symbols " + std::to_string(w));
+    }
+
+    // All 256 symbols, near-uniform and geometric-ish.
+    {
+        Histogram freq{};
+        for (uint32_t s = 0; s < 256; ++s)
+            freq[s] = 1000 + rng() % 50;
+        expectMatchesOracle(freq, "all 256 near-uniform");
+        for (uint32_t s = 0; s < 256; ++s)
+            freq[s] = 1 + (uint64_t{1} << (s % 16));
+        expectMatchesOracle(freq, "all 256 skewed");
+    }
+
+    // Weights near 2^40 (no byte stream that large is built): sums of
+    // packages far above 32 bits, ties among them, and a tiny outlier.
+    for (int iter = 0; iter < 20; ++iter) {
+        Histogram freq{};
+        for (uint32_t s = 0; s < 256; ++s)
+            if (rng() % 3 != 0)
+                freq[s] = (uint64_t{1} << 40) + rng() % 3 -
+                          (iter % 2 == 0 ? 1 : 0);
+        freq[rng() % 256] = 1;
+        freq[rng() % 256] = uint64_t{1} << 41;
+        expectMatchesOracle(freq, "near 2^40 " + std::to_string(iter));
     }
 }
 
