@@ -6,7 +6,8 @@
  *
  * Measures, on this host, representative operator chains (dense float
  * chains, sparse hash chains, the generated Bucketize bridge) fused vs
- * unfused at the best dispatched SIMD level, plus the end-to-end RM1
+ * unfused at every available SIMD level — the per-op, per-tier rates
+ * of the VM's one kernel per op per tier — plus the end-to-end RM1
  * standard plan at every level. Every configuration is differentially
  * checked — fused output must be bit-identical to the unfused
  * reference — before it is timed; a mismatch exits nonzero.
@@ -146,7 +147,7 @@ chainBatch(size_t rows)
 
 /** One single-output chain, fused vs unfused at the current level. */
 void
-benchChain(const char* name, const PlanOutput& output,
+benchChain(const std::string& name, const PlanOutput& output,
            const RowBatch& raw, const BenchConfig& bc, double values,
            bool trailing_comma)
 {
@@ -170,72 +171,80 @@ benchChain(const char* name, const PlanOutput& output,
         g_sink += u.batch_size;
     });
 
-    std::printf("    {\"chain\": \"%s\", \"values_per_rep\": %.0f, "
+    std::printf("    {\"chain\": \"%s\", \"level\": \"%s\", "
+                "\"values_per_rep\": %.0f, "
                 "\"unfused\": {\"seconds\": %.6e, \"values_per_sec\": "
                 "%.4e}, "
                 "\"fused\": {\"seconds\": %.6e, \"values_per_sec\": "
                 "%.4e}, "
                 "\"speedup\": %.3f}%s\n",
-                name, values, unfused_secs, values / unfused_secs,
+                name.c_str(), simdLevelName(activeSimdLevel()), values,
+                unfused_secs, values / unfused_secs,
                 fused_secs, values / fused_secs,
                 unfused_secs / fused_secs, trailing_comma ? "," : "");
+}
+
+struct Chain {
+    std::string name;
+    PlanOutput output;
+    double values_per_row;
+};
+
+std::vector<Chain>
+chains()
+{
+    std::vector<Chain> out;
+    auto dense = [&](const char* name, std::vector<DenseOp> ops) {
+        PlanOutput o;
+        o.kind = PlanOutput::Kind::kDense;
+        o.output_name = "d";
+        o.source_feature = "dense_0";
+        o.dense_ops = std::move(ops);
+        out.push_back({name, std::move(o), 1.0});
+    };
+    auto sparse = [&](const char* name, std::vector<SparseOp> ops) {
+        PlanOutput o;
+        o.kind = PlanOutput::Kind::kSparse;
+        o.output_name = "s";
+        o.source_feature = "sparse_0";
+        o.sparse_ops = std::move(ops);
+        out.push_back({name, std::move(o), 4.0});
+    };
+    dense("dense_fill_log", {DenseOp::fillMissing(0.0f), DenseOp::log()});
+    dense("dense_clamp_fill_log_clamp",
+          {DenseOp::clamp(0.0f, 3000.0f), DenseOp::fillMissing(1.0f),
+           DenseOp::log(), DenseOp::clamp(0.0f, 8.0f)});
+    sparse("sparse_hash", {SparseOp::sigridHash(0x5eed, 500000)});
+    sparse("sparse_hash_x3",
+           {SparseOp::sigridHash(1, 500000), SparseOp::sigridHash(2, 100000),
+            SparseOp::sigridHash(3, 65536)});
+    PlanOutput g;
+    g.kind = PlanOutput::Kind::kGenerated;
+    g.output_name = "g";
+    g.source_feature = "dense_0";
+    g.dense_ops = {DenseOp::fillMissing(0.0f)};
+    g.bucket_boundaries = 1024;
+    g.sparse_ops = {SparseOp::sigridHash(0x5eed, 500000)};
+    out.push_back({"generated_fill_bucketize_hash", std::move(g), 1.0});
+    return out;
 }
 
 void
 runChains(const BenchConfig& bc)
 {
-    setSimdLevel(detectedSimdLevel());
     const RowBatch raw = chainBatch(bc.chain_rows);
     const auto rows = static_cast<double>(bc.chain_rows);
+    const auto all = chains();
+    const auto levels = availableLevels();
 
     std::printf("  \"chains\": [\n");
-    {
-        PlanOutput out;
-        out.kind = PlanOutput::Kind::kDense;
-        out.output_name = "d";
-        out.source_feature = "dense_0";
-        out.dense_ops = {DenseOp::fillMissing(0.0f), DenseOp::log()};
-        benchChain("dense_fill_log", out, raw, bc, rows, true);
-    }
-    {
-        PlanOutput out;
-        out.kind = PlanOutput::Kind::kDense;
-        out.output_name = "d";
-        out.source_feature = "dense_0";
-        out.dense_ops = {DenseOp::clamp(0.0f, 3000.0f),
-                         DenseOp::fillMissing(1.0f), DenseOp::log(),
-                         DenseOp::clamp(0.0f, 8.0f)};
-        benchChain("dense_clamp_fill_log_clamp", out, raw, bc, rows,
-                   true);
-    }
-    {
-        PlanOutput out;
-        out.kind = PlanOutput::Kind::kSparse;
-        out.output_name = "s";
-        out.source_feature = "sparse_0";
-        out.sparse_ops = {SparseOp::sigridHash(0x5eed, 500000)};
-        benchChain("sparse_hash", out, raw, bc, 4.0 * rows, true);
-    }
-    {
-        PlanOutput out;
-        out.kind = PlanOutput::Kind::kSparse;
-        out.output_name = "s";
-        out.source_feature = "sparse_0";
-        out.sparse_ops = {SparseOp::sigridHash(1, 500000),
-                          SparseOp::sigridHash(2, 100000),
-                          SparseOp::sigridHash(3, 65536)};
-        benchChain("sparse_hash_x3", out, raw, bc, 4.0 * rows, true);
-    }
-    {
-        PlanOutput out;
-        out.kind = PlanOutput::Kind::kGenerated;
-        out.output_name = "g";
-        out.source_feature = "dense_0";
-        out.dense_ops = {DenseOp::fillMissing(0.0f)};
-        out.bucket_boundaries = 1024;
-        out.sparse_ops = {SparseOp::sigridHash(0x5eed, 500000)};
-        benchChain("generated_fill_bucketize_hash", out, raw, bc, rows,
-                   false);
+    for (size_t c = 0; c < all.size(); ++c) {
+        for (size_t l = 0; l < levels.size(); ++l) {
+            setSimdLevel(levels[l]);
+            const bool last = c + 1 == all.size() && l + 1 == levels.size();
+            benchChain(all[c].name, all[c].output, raw, bc,
+                       all[c].values_per_row * rows, !last);
+        }
     }
     std::printf("  ],\n");
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Internal kernels of the fast page-decode layer (the Extract analogue
- * of ops/fast_ops_internal.h).
+ * of ops/opvm_internal.h).
  *
  * The public entry points stay enc::decodeI64/decodeF32; encoding.cc
  * routes their hot loops through the dispatched batch kernels declared

@@ -1,25 +1,20 @@
 /**
  * @file
- * Per-worker reusable scratch buffers for the preprocessing hot path.
+ * Per-worker handle for the preprocessing hot path.
  *
- * A BatchArena owns a set of slot-indexed vectors that survive across
- * batches: the first batch through a worker sizes them, every later
- * batch reuses the same capacity, so the steady-state Transform loop
- * performs zero heap allocations per batch. Slots have stable addresses
- * (each buffer is a separately heap-allocated vector), so references
- * handed to parallel tasks stay valid while other slots are created.
+ * Every worker loop owns one BatchArena and passes it to each
+ * Transform call (Preprocessor::preprocessInto, CompiledProgram::run).
+ * The fused op-chain VM needs no per-batch scratch: values stream
+ * register-to-register into the MiniBatch, and its hoisted per-op
+ * constants live in per-thread scratch (ops/opvm_internal.h). So the
+ * arena only counts the batches served through it.
  *
- * Thread safety: an arena belongs to one worker. The only concurrent
- * use allowed is lookups of *distinct, already-prepared* slots from
- * parallel tasks (prepareF32/prepareI64 must run before the fan-out).
+ * Thread safety: an arena belongs to one worker.
  */
 #ifndef PRESTO_COMMON_BATCH_ARENA_H_
 #define PRESTO_COMMON_BATCH_ARENA_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <vector>
 
 namespace presto {
 
@@ -30,34 +25,13 @@ class BatchArena
     BatchArena(const BatchArena&) = delete;
     BatchArena& operator=(const BatchArena&) = delete;
 
-    /** Ensure float slots [0, count) exist (serial; call before fan-out). */
-    void prepareF32(size_t count);
-    /** Ensure int64 slots [0, count) exist (serial; call before fan-out). */
-    void prepareI64(size_t count);
-
-    /**
-     * Scratch buffer for @p slot. Creates missing slots serially;
-     * lookups of prepared slots are safe from parallel tasks as long as
-     * no two tasks share a slot. Contents are whatever the previous
-     * batch left — callers resize/assign before use.
-     */
-    std::vector<float>& f32(size_t slot);
-    std::vector<int64_t>& i64(size_t slot);
-
-    /** Account one batch completed (stats only; buffers keep capacity). */
+    /** Account one batch completed. */
     void noteBatch() { ++batches_; }
 
-    // --- stats (used by the zero-allocation test hook and bench) ----------
-    /** Number of slot vectors created since construction. */
-    size_t slotAllocations() const { return f32_.size() + i64_.size(); }
     /** Batches served (noteBatch calls). */
     size_t batches() const { return batches_; }
-    /** Total capacity currently held across slots, in bytes. */
-    size_t bytesReserved() const;
 
   private:
-    std::vector<std::unique_ptr<std::vector<float>>> f32_;
-    std::vector<std::unique_ptr<std::vector<int64_t>>> i64_;
     size_t batches_ = 0;
 };
 

@@ -26,7 +26,6 @@
 #include "common/batch_arena.h"
 #include "common/status.h"
 #include "datagen/rm_config.h"
-#include "ops/fast_ops.h"
 #include "ops/preprocessor.h"
 #include "tabular/minibatch.h"
 #include "tabular/row_batch.h"

@@ -1,11 +1,10 @@
 #pragma once
 
-// Per-register AVX2 bodies shared by fast_ops_avx2.cc (whole-column
-// kernels) and opvm_avx2.cc (fused op-chain VM). Include only from TUs
-// compiled with -mavx2 and -ffp-contract=off: the log body mirrors the
-// scalar fastLog1p operation sequence and must not gain FMAs, and both
-// includers have to emit the exact same instruction sequence so fused
-// and unfused execution stay bit-identical.
+// Per-register AVX2 bodies of the op-chain VM (opvm_avx2.cc, and the
+// bucketize bridge of opvm_avx512.cc): the one AVX2 body of each op.
+// Include only from TUs compiled with -mavx2 and -ffp-contract=off: the
+// log body mirrors the scalar fastLog1p operation sequence and must not
+// gain FMAs, or the tier stops being bit-identical to scalar.
 #include <immintrin.h>
 
 #include <cmath>

@@ -1,10 +1,9 @@
 #pragma once
 
-// Per-register AVX-512 bodies shared by fast_ops_avx512.cc
-// (whole-column kernels) and opvm_avx512.cc (fused op-chain VM).
-// Include only from TUs compiled with -mavx512f -mavx512dq and
-// -ffp-contract=off, for the same bit-identity reasons as
-// fast_ops_avx2_inl.h.
+// Per-register AVX-512 bodies of the op-chain VM (opvm_avx512.cc): the
+// one AVX-512 body of each op. Include only from TUs compiled with
+// -mavx512f -mavx512dq and -ffp-contract=off, for the same bit-identity
+// reasons as fast_ops_avx2_inl.h.
 #include <immintrin.h>
 
 #include <cmath>

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "ops/fast_ops_internal.h"
 #include "ops/opvm_internal.h"
 #include "ops/preprocessor.h"
 #include "ops/simd.h"
@@ -26,6 +25,8 @@ opCodeName(OpCode op)
 }
 
 namespace opvm_detail {
+
+namespace {
 
 void
 runDenseScalar(const OpInstr* ops, size_t nops, const float* src, size_t n,
@@ -50,109 +51,84 @@ runGeneratedScalar(const OpInstr* f32_ops, size_t nf32,
 {
     for (size_t i = 0; i < n; ++i) {
         const float v = applyF32Scalar(f32_ops, nf32, src[i]);
-        int64_t id = 0;
-        simd_detail::bucketizeScalar(&v, &id, 1, bt.bounds, bt.halves,
-                                     bt.num_halves);
-        out[i] = applyHashScalar(hash_ops, nhash, id);
+        out[i] = applyHashScalar(hash_ops, nhash, bucketizeScalar(v, bt));
+    }
+}
+
+}  // namespace
+
+void
+runDense(SimdLevel level, const OpInstr* ops, size_t nops, const float* src,
+         size_t n, float* dst, size_t stride)
+{
+    switch (level) {
+#if defined(PRESTO_HAVE_X86_SIMD)
+      case SimdLevel::kAvx512:
+        runDenseAvx512(ops, nops, src, n, dst, stride);
+        return;
+      case SimdLevel::kAvx2:
+        runDenseAvx2(ops, nops, src, n, dst, stride);
+        return;
+#endif
+      default:
+        runDenseScalar(ops, nops, src, n, dst, stride);
+    }
+}
+
+void
+runSparse(SimdLevel level, const OpInstr* ops, size_t nops,
+          const int64_t* src, size_t n, int64_t* dst)
+{
+    switch (level) {
+#if defined(PRESTO_HAVE_X86_SIMD)
+      case SimdLevel::kAvx512:
+        runSparseAvx512(ops, nops, src, n, dst);
+        return;
+      case SimdLevel::kAvx2:
+        runSparseAvx2(ops, nops, src, n, dst);
+        return;
+#endif
+      default:
+        runSparseScalar(ops, nops, src, n, dst);
+    }
+}
+
+void
+runGenerated(SimdLevel level, const OpInstr* f32_ops, size_t nf32,
+             const BucketTable& bt, const OpInstr* hash_ops, size_t nhash,
+             const float* src, size_t n, int64_t* out)
+{
+    switch (level) {
+#if defined(PRESTO_HAVE_X86_SIMD)
+      case SimdLevel::kAvx512:
+        runGeneratedAvx512(f32_ops, nf32, bt, hash_ops, nhash, src, n, out);
+        return;
+      case SimdLevel::kAvx2:
+        runGeneratedAvx2(f32_ops, nf32, bt, hash_ops, nhash, src, n, out);
+        return;
+#endif
+      default:
+        runGeneratedScalar(f32_ops, nf32, bt, hash_ops, nhash, src, n, out);
     }
 }
 
 }  // namespace opvm_detail
 
-namespace {
-
-using opvm_detail::BucketTable;
-
-void
-dispatchDense(const OpInstr* ops, size_t nops, const float* src, size_t n,
-              float* dst, size_t stride)
+BucketTable::BucketTable(const BucketBoundaries& boundaries)
+    : bounds_(boundaries.values().begin(), boundaries.values().end())
 {
-    switch (activeSimdLevel()) {
-#if defined(PRESTO_HAVE_X86_SIMD)
-      case SimdLevel::kAvx512:
-        opvm_detail::runDenseAvx512(ops, nops, src, n, dst, stride);
-        return;
-      case SimdLevel::kAvx2:
-        opvm_detail::runDenseAvx2(ops, nops, src, n, dst, stride);
-        return;
-#endif
-      default:
-        opvm_detail::runDenseScalar(ops, nops, src, n, dst, stride);
+    PRESTO_CHECK(bounds_.size() < (size_t{1} << 30),
+                 "boundary array too large for 32-bit bisection");
+    // Value-independent bisection: every search takes the same step
+    // sizes, only the base offset differs. sum(halves) == size - 1, so
+    // the final base is a valid index for the +1 probe.
+    size_t len = bounds_.size();
+    while (len > 1) {
+        const size_t half = len / 2;
+        halves_.push_back(static_cast<int32_t>(half));
+        len -= half;
     }
 }
-
-void
-dispatchSparse(const OpInstr* ops, size_t nops, const int64_t* src,
-               size_t n, int64_t* dst)
-{
-    switch (activeSimdLevel()) {
-#if defined(PRESTO_HAVE_X86_SIMD)
-      case SimdLevel::kAvx512:
-        opvm_detail::runSparseAvx512(ops, nops, src, n, dst);
-        return;
-      case SimdLevel::kAvx2:
-        opvm_detail::runSparseAvx2(ops, nops, src, n, dst);
-        return;
-#endif
-      default:
-        opvm_detail::runSparseScalar(ops, nops, src, n, dst);
-    }
-}
-
-void
-dispatchGenerated(const OpInstr* f32_ops, size_t nf32,
-                  const BucketTable& bt, const OpInstr* hash_ops,
-                  size_t nhash, const float* src, size_t n, int64_t* out)
-{
-    switch (activeSimdLevel()) {
-#if defined(PRESTO_HAVE_X86_SIMD)
-      case SimdLevel::kAvx512:
-        opvm_detail::runGeneratedAvx512(f32_ops, nf32, bt, hash_ops, nhash,
-                                        src, n, out);
-        return;
-      case SimdLevel::kAvx2:
-        opvm_detail::runGeneratedAvx2(f32_ops, nf32, bt, hash_ops, nhash,
-                                      src, n, out);
-        return;
-#endif
-      default:
-        opvm_detail::runGeneratedScalar(f32_ops, nf32, bt, hash_ops, nhash,
-                                        src, n, out);
-    }
-}
-
-/** Fallback: whole-column passes for a too-long f32 chain. */
-void
-applyF32Passes(const OpInstr* ops, size_t nops, std::vector<float>& values)
-{
-    for (size_t k = 0; k < nops; ++k) {
-        switch (ops[k].op) {
-          case OpCode::kFill:
-            fillMissingInPlaceFast(values, ops[k].a);
-            break;
-          case OpCode::kLog:
-            logTransformInPlaceFast(values);
-            break;
-          case OpCode::kClamp:
-            for (auto& v : values)
-                v = std::min(std::max(v, ops[k].a), ops[k].b);
-            break;
-          default:
-            break;
-        }
-    }
-}
-
-/** Fallback: whole-column passes for a too-long hash chain. */
-void
-applyHashPasses(const OpInstr* ops, size_t nops,
-                std::vector<int64_t>& values)
-{
-    for (size_t k = 0; k < nops; ++k)
-        sigridHashInPlaceFast(values, ops[k].seed, ops[k].max_value);
-}
-
-}  // namespace
 
 std::vector<OpInstr>
 simplifyF32Chain(std::vector<OpInstr> ops)
@@ -277,8 +253,8 @@ CompiledProgram::compile(TransformPlan plan, const Schema& input_schema)
         if (out.kind == PlanOutput::Kind::kGenerated) {
             OpInstr in;
             in.op = OpCode::kBucketize;
-            in.table = static_cast<int32_t>(p.bucketizers_.size());
-            p.bucketizers_.emplace_back(BucketBoundaries::makeLogSpaced(
+            in.table = static_cast<int32_t>(p.bucket_tables_.size());
+            p.bucket_tables_.emplace_back(BucketBoundaries::makeLogSpaced(
                 out.bucket_boundaries, kStandardBucketLo,
                 kStandardBucketHi));
             c.code.push_back(in);
@@ -298,9 +274,6 @@ CompiledProgram::compile(TransformPlan plan, const Schema& input_schema)
                 ++c.num_hash;
             }
         }
-        c.fused = c.num_f32 <= kMaxFusedChainOps &&
-                  c.num_hash <= kMaxFusedChainOps;
-        p.has_fallback_ |= !c.fused;
         p.outputs_.push_back(std::move(c));
     }
 
@@ -350,10 +323,7 @@ CompiledProgram::run(const RowBatch& raw, MiniBatch& mb, BatchArena& arena,
     mb.num_dense = num_dense_;
     mb.dense.resize(batch * num_dense_);
     mb.sparse.resize(num_sparse_);
-    if (has_fallback_)
-        arena.prepareF32(outputs_.size());
-
-    auto task = [&](size_t o) { runOutput(o, raw, mb, arena); };
+    auto task = [&](size_t o) { runOutput(outputs_[o], raw, mb); };
     if (pool != nullptr) {
         pool->parallelFor(outputs_.size(), task);
     } else {
@@ -370,20 +340,20 @@ void
 CompiledProgram::runDenseRange(const CompiledOutput& out, const float* src,
                                size_t n, float* dst, size_t stride) const
 {
-    PRESTO_CHECK(out.fused, "range execution requires a fused chain");
-    dispatchDense(out.code.data(), out.num_f32, src, n, dst, stride);
+    opvm_detail::runDense(activeSimdLevel(), out.code.data(), out.num_f32,
+                          src, n, dst, stride);
 }
 
 void
 CompiledProgram::runHashRange(const CompiledOutput& out, const int64_t* src,
                               size_t n, int64_t* dst) const
 {
-    PRESTO_CHECK(out.fused, "range execution requires a fused chain");
     // The hash stage is the code tail, after the f32 ops and the
     // bucketize bridge (if any).
     const OpInstr* hash_ops =
         out.code.data() + out.code.size() - out.num_hash;
-    dispatchSparse(hash_ops, out.num_hash, src, n, dst);
+    opvm_detail::runSparse(activeSimdLevel(), hash_ops, out.num_hash, src,
+                           n, dst);
 }
 
 void
@@ -391,56 +361,36 @@ CompiledProgram::runGeneratedRange(const CompiledOutput& out,
                                    const float* src, size_t n,
                                    int64_t* dst) const
 {
-    PRESTO_CHECK(out.fused, "range execution requires a fused chain");
     const OpInstr& bridge = out.code[out.num_f32];
-    const FastBucketizer& bz = bucketizer(bridge.table);
-    const BucketTable bt{bz.bounds().data(), bz.halves().data(),
-                         bz.halves().size(), bz.bounds().size()};
-    dispatchGenerated(out.code.data(), out.num_f32, bt,
-                      out.code.data() + out.num_f32 + 1, out.num_hash, src,
-                      n, dst);
+    opvm_detail::runGenerated(activeSimdLevel(), out.code.data(),
+                              out.num_f32, bucketTable(bridge.table),
+                              out.code.data() + out.num_f32 + 1,
+                              out.num_hash, src, n, dst);
 }
 
 void
-CompiledProgram::runOutput(size_t o, const RowBatch& raw, MiniBatch& mb,
-                           BatchArena& arena) const
+CompiledProgram::runOutput(const CompiledOutput& out, const RowBatch& raw,
+                           MiniBatch& mb) const
 {
-    const CompiledOutput& out = outputs_[o];
     switch (out.kind) {
       case PlanOutput::Kind::kLabel: {
         const auto& col = raw.dense(out.source);
         mb.labels.assign(col.values().begin(), col.values().end());
         break;
       }
-      case PlanOutput::Kind::kDense:
-        runDense(out, raw, mb, arena, o);
+      case PlanOutput::Kind::kDense: {
+        const auto& col = raw.dense(out.source);
+        runDenseRange(out, col.values().data(), raw.numRows(),
+                      mb.dense.data() + out.slot, num_dense_);
         break;
+      }
       case PlanOutput::Kind::kSparse:
         runSparse(out, raw, mb);
         break;
       case PlanOutput::Kind::kGenerated:
-        runGenerated(out, raw, mb, arena, o);
+        runGenerated(out, raw, mb);
         break;
     }
-}
-
-void
-CompiledProgram::runDense(const CompiledOutput& out, const RowBatch& raw,
-                          MiniBatch& mb, BatchArena& arena, size_t o) const
-{
-    const auto& col = raw.dense(out.source);
-    const size_t batch = raw.numRows();
-    float* dst = mb.dense.data() + out.slot;
-    if (out.fused) {
-        dispatchDense(out.code.data(), out.num_f32, col.values().data(),
-                      batch, dst, num_dense_);
-        return;
-    }
-    std::vector<float>& scratch = arena.f32(o);
-    scratch.assign(col.values().begin(), col.values().end());
-    applyF32Passes(out.code.data(), out.num_f32, scratch);
-    for (size_t r = 0; r < batch; ++r)
-        dst[r * num_dense_] = scratch[r];
 }
 
 void
@@ -481,22 +431,12 @@ CompiledProgram::runSparse(const CompiledOutput& out, const RowBatch& raw,
             std::copy_n(src, jag.values.size(), jag.values.data());
         return;
     }
-    // A kSparse program is hash-only, so its code starts at the hash ops.
-    const OpInstr* hash_ops = out.code.data();
-    if (out.fused) {
-        dispatchSparse(hash_ops, out.num_hash, src, jag.values.size(),
-                       jag.values.data());
-        return;
-    }
-    if (src != jag.values.data())
-        std::copy_n(src, jag.values.size(), jag.values.data());
-    applyHashPasses(hash_ops, out.num_hash, jag.values);
+    runHashRange(out, src, jag.values.size(), jag.values.data());
 }
 
 void
 CompiledProgram::runGenerated(const CompiledOutput& out,
-                              const RowBatch& raw, MiniBatch& mb,
-                              BatchArena& arena, size_t o) const
+                              const RowBatch& raw, MiniBatch& mb) const
 {
     const auto& col = raw.dense(out.source);
     const size_t batch = raw.numRows();
@@ -509,22 +449,7 @@ CompiledProgram::runGenerated(const CompiledOutput& out,
     jag.values.resize(batch * rowlen);
     if (rowlen == 0 || batch == 0)
         return;
-    const OpInstr* f32_ops = out.code.data();
-    const OpInstr& bridge = out.code[out.num_f32];
-    const FastBucketizer& bz = bucketizer(bridge.table);
-    const OpInstr* hash_ops = out.code.data() + out.num_f32 + 1;
-    if (out.fused) {
-        const BucketTable bt{bz.bounds().data(), bz.halves().data(),
-                             bz.halves().size(), bz.bounds().size()};
-        dispatchGenerated(f32_ops, out.num_f32, bt, hash_ops, out.num_hash,
-                          col.values().data(), batch, jag.values.data());
-        return;
-    }
-    std::vector<float>& scratch = arena.f32(o);
-    scratch.assign(col.values().begin(), col.values().end());
-    applyF32Passes(f32_ops, out.num_f32, scratch);
-    bz.bucketizeInto(scratch, jag.values);
-    applyHashPasses(hash_ops, out.num_hash, jag.values);
+    runGeneratedRange(out, col.values().data(), batch, jag.values.data());
 }
 
 std::string
@@ -546,8 +471,6 @@ CompiledProgram::disassemble() const
         }
         os << "output " << o << ": " << kind << " \"" << out.name
            << "\" <- col " << out.source << ", slot " << out.slot;
-        if (!out.fused)
-            os << "  ; NOT fused (chain > " << kMaxFusedChainOps << " ops)";
         if (out.num_f32 != out.unsimplified_f32)
             os << "  ; simplified " << out.unsimplified_f32 << " -> "
                << out.num_f32 << " f32 ops";
@@ -570,7 +493,7 @@ CompiledProgram::disassemble() const
                 break;
               case OpCode::kBucketize:
                 os << "bucketize  table=" << in.table << " ("
-                   << bucketizer(in.table).size() << " bounds)";
+                   << bucketTable(in.table).size() << " bounds)";
                 break;
               case OpCode::kHash:
                 os << "hash       seed=0x" << std::hex << in.seed

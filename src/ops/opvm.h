@@ -11,20 +11,21 @@
  * (validated at compile time, never per batch) and executes it in a
  * single pass per column: values stream through SIMD registers
  * tile-by-tile (8xf32 / 4xi64 on AVX2, 16xf32 / 8xi64 on AVX-512), so
- * no intermediate ever touches memory. Dispatch reuses the per-register
- * kernels of fast_ops* — every tier is bit-identical to the unfused
- * reference path (every operator is elementwise, so any tiling of the
- * fused chain reproduces the reference output exactly).
+ * no intermediate ever touches memory. Each op has one per-register
+ * body per tier (ops/fast_ops_*_inl.h), and every tier is bit-identical
+ * to the unfused reference path (every operator is elementwise, so any
+ * tiling of the fused chain reproduces the reference output exactly).
+ * Chains of any length run fused.
  *
  * FirstX compiles away entirely: elementwise hashes commute with
  * positional prefix selection, so the chain's FirstX ops collapse into
  * one prefix cap applied while packing the input, and the hash chain
  * runs fused over the surviving ids.
  *
- * Execution is allocation-free in steady state: fused chains need no
- * scratch at all (registers write straight into the MiniBatch), and the
- * rare over-long chain (> kMaxFusedChainOps per stage) falls back to
- * whole-column passes over BatchArena scratch.
+ * Execution is allocation-free in steady state: registers write
+ * straight into the MiniBatch, and the vector tiers hoist each chain's
+ * broadcast constants into per-thread scratch that grows to the longest
+ * chain a thread has run and is then reused.
  *
  * See docs/OPVM.md for the bytecode format and register model.
  */
@@ -37,19 +38,12 @@
 
 #include "common/batch_arena.h"
 #include "common/thread_pool.h"
-#include "ops/fast_ops.h"
+#include "ops/ops.h"
 #include "ops/plan.h"
 #include "tabular/minibatch.h"
 #include "tabular/row_batch.h"
 
 namespace presto {
-
-/**
- * Longest operator chain (per stage: float ops, hash ops) executed
- * fused with hoisted per-op register constants. Longer stages run as
- * whole-column passes instead — same results, just not single-pass.
- */
-inline constexpr size_t kMaxFusedChainOps = 16;
 
 /** Bytecode operations. A program is [f32 ops][bucketize?][hash ops]. */
 enum class OpCode : uint8_t {
@@ -123,7 +117,29 @@ struct CompiledOutput {
      * Disassembly surfaces the difference.
      */
     uint32_t unsimplified_f32 = 0;
-    bool fused = true;          ///< false: some stage > kMaxFusedChainOps
+};
+
+/**
+ * Boundary table of one kBucketize instruction: a sorted copy of the
+ * boundaries plus a value-independent bisection schedule ("halves").
+ * Every value walks the same sequence of step sizes, so the vector
+ * tiers replace upper_bound's data-dependent branches with gathers and
+ * compares. Bucket ids equal BucketBoundaries::searchBucketId
+ * (upper_bound index, NaN -> 0) on every tier.
+ */
+class BucketTable
+{
+  public:
+    explicit BucketTable(const BucketBoundaries& boundaries);
+
+    size_t size() const { return bounds_.size(); }
+    const std::vector<float>& bounds() const { return bounds_; }
+    /** Bisection step sizes, largest first; sum == size() - 1. */
+    const std::vector<int32_t>& halves() const { return halves_; }
+
+  private:
+    std::vector<float> bounds_;
+    std::vector<int32_t> halves_;
 };
 
 /**
@@ -148,19 +164,17 @@ class CompiledProgram
 
     /**
      * Execute the program over one raw batch into @p mb, reusing its
-     * buffers. Steady state performs zero heap allocations. @p arena is
-     * only touched by non-fused fallback outputs; @p pool optionally
-     * fans out one task per output.
+     * buffers. Steady state performs zero heap allocations. @p arena
+     * counts batches; @p pool optionally fans out one task per output.
      */
     void run(const RowBatch& raw, MiniBatch& mb, BatchArena& arena,
              ThreadPool* pool = nullptr) const;
 
     /**
      * Chunk-granular entry points for double-buffered PE emulation
-     * (core/isp_emulator): run one fused output's full chain over a
-     * sub-range of its column. Every op is elementwise, so executing a
-     * column in chunks is bit-identical to one run() pass. Panics on
-     * non-fused outputs.
+     * (core/isp_emulator): run one output's full chain over a sub-range
+     * of its column. Every op is elementwise, so executing a column in
+     * chunks is bit-identical to one run() pass.
      * @{
      */
     void runDenseRange(const CompiledOutput& out, const float* src,
@@ -178,33 +192,30 @@ class CompiledProgram
     size_t numSparse() const { return num_sparse_; }
 
     /** Boundary table of a kBucketize instruction. */
-    const FastBucketizer&
-    bucketizer(int32_t table) const
+    const BucketTable&
+    bucketTable(int32_t table) const
     {
-        return bucketizers_[static_cast<size_t>(table)];
+        return bucket_tables_[static_cast<size_t>(table)];
     }
 
     /** Assembly-style listing of the compiled program. */
     std::string disassemble() const;
 
   private:
-    void runOutput(size_t o, const RowBatch& raw, MiniBatch& mb,
-                   BatchArena& arena) const;
-    void runDense(const CompiledOutput& out, const RowBatch& raw,
-                  MiniBatch& mb, BatchArena& arena, size_t o) const;
+    void runOutput(const CompiledOutput& out, const RowBatch& raw,
+                   MiniBatch& mb) const;
     void runSparse(const CompiledOutput& out, const RowBatch& raw,
                    MiniBatch& mb) const;
     void runGenerated(const CompiledOutput& out, const RowBatch& raw,
-                      MiniBatch& mb, BatchArena& arena, size_t o) const;
+                      MiniBatch& mb) const;
 
     TransformPlan plan_;
     Schema input_schema_;
     uint64_t schema_fp_ = 0;
     size_t num_dense_ = 0;
     size_t num_sparse_ = 0;
-    bool has_fallback_ = false;  ///< any output with fused == false
     std::vector<CompiledOutput> outputs_;
-    std::vector<FastBucketizer> bucketizers_;
+    std::vector<BucketTable> bucket_tables_;
 };
 
 }  // namespace presto

@@ -1,20 +1,19 @@
 // AVX2 tier of the op-chain VM. Compiled with -mavx2 -ffp-contract=off;
-// only reached behind the runtime CPU check in ops/simd.cc. Reuses the
-// per-register bodies from fast_ops_avx2_inl.h, so a fused chain emits
-// the exact same instruction sequence per value as the whole-column
-// kernels — bit-identical to the unfused reference at every tile size.
+// only reached behind the runtime CPU check in ops/simd.cc. Built from
+// the per-register bodies in fast_ops_avx2_inl.h, each of which replays
+// its op's scalar sequence, so a chain is bit-identical to the unfused
+// reference at every tile size.
 //
-// Per-op broadcast constants are hoisted into small stack arrays before
-// the tile loop (bounded by kMaxFusedChainOps; longer chains never
-// reach this tier). Values stream through one register across the whole
-// chain: 8xf32 tiles for the float stage, 4xi64 lane groups for the
-// hash stage.
+// Per-op broadcast constants are hoisted once per call into per-thread
+// scratch sized to the chain (hoistScratch), so chains of any length
+// run here. Values stream through one register across the whole chain:
+// 8xf32 tiles for the float stage, 4xi64 lane groups for the hash
+// stage.
 #include <immintrin.h>
 
 #include <cstdint>
 
 #include "ops/fast_ops_avx2_inl.h"
-#include "ops/fast_ops_internal.h"
 #include "ops/opvm_internal.h"
 
 namespace presto::opvm_detail {
@@ -23,33 +22,37 @@ namespace {
 
 using simd_detail::Avx2HashConsts;
 
+/** Broadcast operands of one f32-stage instruction. */
 struct F32Consts {
-    __m256 va[kMaxFusedChainOps];
-    __m256 vb[kMaxFusedChainOps];
+    __m256 va, vb;
 };
 
-inline void
-loadF32Consts(const OpInstr* ops, size_t nops, F32Consts& c)
+inline const F32Consts*
+loadF32Consts(const OpInstr* ops, size_t nops)
 {
+    F32Consts* c = hoistScratch<F32Consts>(nops);
     for (size_t k = 0; k < nops; ++k) {
-        c.va[k] = _mm256_set1_ps(ops[k].a);
-        c.vb[k] = _mm256_set1_ps(ops[k].b);
+        c[k].va = _mm256_set1_ps(ops[k].a);
+        c[k].vb = _mm256_set1_ps(ops[k].b);
     }
+    return c;
 }
 
-inline __m256
-chain8(__m256 x, const OpInstr* ops, size_t nops, const F32Consts& c)
+// Forced inline, here and in hashChain4: outlined, the chain costs a call
+// per tile and spills the tile register.
+[[gnu::always_inline]] inline __m256
+chain8(__m256 x, const OpInstr* ops, size_t nops, const F32Consts* c)
 {
     for (size_t k = 0; k < nops; ++k) {
         switch (ops[k].op) {
           case OpCode::kFill:
-            x = simd_detail::fill8(x, c.va[k]);
+            x = simd_detail::fill8(x, c[k].va);
             break;
           case OpCode::kLog:
             x = simd_detail::log8(x);
             break;
           case OpCode::kClamp:
-            x = simd_detail::clamp8(x, c.va[k], c.vb[k]);
+            x = simd_detail::clamp8(x, c[k].va, c[k].vb);
             break;
           default:
             break;
@@ -58,29 +61,32 @@ chain8(__m256 x, const OpInstr* ops, size_t nops, const F32Consts& c)
     return x;
 }
 
+/** Hoisted constants of one hash instruction. */
 struct HashConsts {
-    Avx2HashConsts hc[kMaxFusedChainOps];
-    bool one[kMaxFusedChainOps];  // max_value == 1: result is always 0
+    Avx2HashConsts hc;
+    bool one;  // max_value == 1: result is always 0
 };
 
-inline void
-loadHashConsts(const OpInstr* ops, size_t nops, HashConsts& c)
+inline const HashConsts*
+loadHashConsts(const OpInstr* ops, size_t nops)
 {
+    HashConsts* c = hoistScratch<HashConsts>(nops);
     for (size_t k = 0; k < nops; ++k) {
-        c.one[k] = ops[k].max_value == 1;
-        if (!c.one[k]) {
-            c.hc[k] = Avx2HashConsts::make(
+        c[k].one = ops[k].max_value == 1;
+        if (!c[k].one) {
+            c[k].hc = Avx2HashConsts::make(
                 ops[k].seed, static_cast<uint64_t>(ops[k].max_value));
         }
     }
+    return c;
 }
 
-inline __m256i
-hashChain4(__m256i h, size_t nops, const HashConsts& c)
+[[gnu::always_inline]] inline __m256i
+hashChain4(__m256i h, size_t nops, const HashConsts* c)
 {
     for (size_t k = 0; k < nops; ++k) {
-        h = c.one[k] ? _mm256_setzero_si256()
-                     : simd_detail::hashMod4(h, c.hc[k]);
+        h = c[k].one ? _mm256_setzero_si256()
+                     : simd_detail::hashMod4(h, c[k].hc);
     }
     return h;
 }
@@ -91,8 +97,7 @@ void
 runDenseAvx2(const OpInstr* ops, size_t nops, const float* src, size_t n,
              float* dst, size_t stride)
 {
-    F32Consts c;
-    loadF32Consts(ops, nops, c);
+    const F32Consts* c = loadF32Consts(ops, nops);
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         __m256 x = chain8(_mm256_loadu_ps(src + i), ops, nops, c);
@@ -109,8 +114,7 @@ void
 runSparseAvx2(const OpInstr* ops, size_t nops, const int64_t* src,
               size_t n, int64_t* dst)
 {
-    HashConsts c;
-    loadHashConsts(ops, nops, c);
+    const HashConsts* c = loadHashConsts(ops, nops);
     size_t i = 0;
     for (; i + 4 <= n; i += 4) {
         __m256i h = _mm256_loadu_si256(
@@ -127,15 +131,15 @@ runGeneratedAvx2(const OpInstr* f32_ops, size_t nf32, const BucketTable& bt,
                  const OpInstr* hash_ops, size_t nhash, const float* src,
                  size_t n, int64_t* out)
 {
-    F32Consts fc;
-    loadF32Consts(f32_ops, nf32, fc);
-    HashConsts hc;
-    loadHashConsts(hash_ops, nhash, hc);
+    const F32Consts* fc = loadF32Consts(f32_ops, nf32);
+    const HashConsts* hc = loadHashConsts(hash_ops, nhash);
+    const float* bounds = bt.bounds().data();
+    const int32_t* halves = bt.halves().data();
+    const size_t num_halves = bt.halves().size();
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         __m256 x = chain8(_mm256_loadu_ps(src + i), f32_ops, nf32, fc);
-        __m256i b32 =
-            simd_detail::bucketize8(x, bt.bounds, bt.halves, bt.num_halves);
+        __m256i b32 = simd_detail::bucketize8(x, bounds, halves, num_halves);
         __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(b32));
         __m256i hi =
             _mm256_cvtepi32_epi64(_mm256_extracti128_si256(b32, 1));
@@ -146,10 +150,7 @@ runGeneratedAvx2(const OpInstr* f32_ops, size_t nf32, const BucketTable& bt,
     }
     for (; i < n; ++i) {
         const float v = applyF32Scalar(f32_ops, nf32, src[i]);
-        int64_t id = 0;
-        simd_detail::bucketizeScalar(&v, &id, 1, bt.bounds, bt.halves,
-                                     bt.num_halves);
-        out[i] = applyHashScalar(hash_ops, nhash, id);
+        out[i] = applyHashScalar(hash_ops, nhash, bucketizeScalar(v, bt));
     }
 }
 

@@ -4,14 +4,14 @@
 // avx512dq. Float tiles are 16 lanes wide, hash lane groups 8xi64; the
 // bucketize bridge reuses the 8-lane AVX2 gather body on each half of
 // the float tile — same instruction semantics per element, so the tier
-// stays bit-identical to scalar and AVX2.
+// stays bit-identical to scalar and AVX2. Per-op constants are hoisted
+// once per call into per-thread scratch, as in the AVX2 tier.
 #include <immintrin.h>
 
 #include <cstdint>
 
 #include "ops/fast_ops_avx2_inl.h"
 #include "ops/fast_ops_avx512_inl.h"
-#include "ops/fast_ops_internal.h"
 #include "ops/opvm_internal.h"
 
 namespace presto::opvm_detail {
@@ -20,33 +20,35 @@ namespace {
 
 using simd_detail::Avx512HashConsts;
 
+/** Broadcast operands of one f32-stage instruction. */
 struct F32Consts {
-    __m512 va[kMaxFusedChainOps];
-    __m512 vb[kMaxFusedChainOps];
+    __m512 va, vb;
 };
 
-inline void
-loadF32Consts(const OpInstr* ops, size_t nops, F32Consts& c)
+inline const F32Consts*
+loadF32Consts(const OpInstr* ops, size_t nops)
 {
+    F32Consts* c = hoistScratch<F32Consts>(nops);
     for (size_t k = 0; k < nops; ++k) {
-        c.va[k] = _mm512_set1_ps(ops[k].a);
-        c.vb[k] = _mm512_set1_ps(ops[k].b);
+        c[k].va = _mm512_set1_ps(ops[k].a);
+        c[k].vb = _mm512_set1_ps(ops[k].b);
     }
+    return c;
 }
 
 inline __m512
-chain16(__m512 x, const OpInstr* ops, size_t nops, const F32Consts& c)
+chain16(__m512 x, const OpInstr* ops, size_t nops, const F32Consts* c)
 {
     for (size_t k = 0; k < nops; ++k) {
         switch (ops[k].op) {
           case OpCode::kFill:
-            x = simd_detail::fill16(x, c.va[k]);
+            x = simd_detail::fill16(x, c[k].va);
             break;
           case OpCode::kLog:
             x = simd_detail::log16(x);
             break;
           case OpCode::kClamp:
-            x = simd_detail::clamp16(x, c.va[k], c.vb[k]);
+            x = simd_detail::clamp16(x, c[k].va, c[k].vb);
             break;
           default:
             break;
@@ -55,29 +57,32 @@ chain16(__m512 x, const OpInstr* ops, size_t nops, const F32Consts& c)
     return x;
 }
 
+/** Hoisted constants of one hash instruction. */
 struct HashConsts {
-    Avx512HashConsts hc[kMaxFusedChainOps];
-    bool one[kMaxFusedChainOps];  // max_value == 1: result is always 0
+    Avx512HashConsts hc;
+    bool one;  // max_value == 1: result is always 0
 };
 
-inline void
-loadHashConsts(const OpInstr* ops, size_t nops, HashConsts& c)
+inline const HashConsts*
+loadHashConsts(const OpInstr* ops, size_t nops)
 {
+    HashConsts* c = hoistScratch<HashConsts>(nops);
     for (size_t k = 0; k < nops; ++k) {
-        c.one[k] = ops[k].max_value == 1;
-        if (!c.one[k]) {
-            c.hc[k] = Avx512HashConsts::make(
+        c[k].one = ops[k].max_value == 1;
+        if (!c[k].one) {
+            c[k].hc = Avx512HashConsts::make(
                 ops[k].seed, static_cast<uint64_t>(ops[k].max_value));
         }
     }
+    return c;
 }
 
 inline __m512i
-hashChain8(__m512i h, size_t nops, const HashConsts& c)
+hashChain8(__m512i h, size_t nops, const HashConsts* c)
 {
     for (size_t k = 0; k < nops; ++k) {
-        h = c.one[k] ? _mm512_setzero_si512()
-                     : simd_detail::hashMod8(h, c.hc[k]);
+        h = c[k].one ? _mm512_setzero_si512()
+                     : simd_detail::hashMod8(h, c[k].hc);
     }
     return h;
 }
@@ -88,8 +93,7 @@ void
 runDenseAvx512(const OpInstr* ops, size_t nops, const float* src, size_t n,
                float* dst, size_t stride)
 {
-    F32Consts c;
-    loadF32Consts(ops, nops, c);
+    const F32Consts* c = loadF32Consts(ops, nops);
     size_t i = 0;
     for (; i + 16 <= n; i += 16) {
         __m512 x = chain16(_mm512_loadu_ps(src + i), ops, nops, c);
@@ -106,8 +110,7 @@ void
 runSparseAvx512(const OpInstr* ops, size_t nops, const int64_t* src,
                 size_t n, int64_t* dst)
 {
-    HashConsts c;
-    loadHashConsts(ops, nops, c);
+    const HashConsts* c = loadHashConsts(ops, nops);
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         __m512i h = _mm512_loadu_si512(src + i);
@@ -122,19 +125,20 @@ runGeneratedAvx512(const OpInstr* f32_ops, size_t nf32,
                    const BucketTable& bt, const OpInstr* hash_ops,
                    size_t nhash, const float* src, size_t n, int64_t* out)
 {
-    F32Consts fc;
-    loadF32Consts(f32_ops, nf32, fc);
-    HashConsts hc;
-    loadHashConsts(hash_ops, nhash, hc);
+    const F32Consts* fc = loadF32Consts(f32_ops, nf32);
+    const HashConsts* hc = loadHashConsts(hash_ops, nhash);
+    const float* bounds = bt.bounds().data();
+    const int32_t* halves = bt.halves().data();
+    const size_t num_halves = bt.halves().size();
     size_t i = 0;
     for (; i + 16 <= n; i += 16) {
         __m512 x = chain16(_mm512_loadu_ps(src + i), f32_ops, nf32, fc);
         __m256 xlo = _mm512_castps512_ps256(x);
         __m256 xhi = _mm512_extractf32x8_ps(x, 1);
-        __m256i blo = simd_detail::bucketize8(xlo, bt.bounds, bt.halves,
-                                              bt.num_halves);
-        __m256i bhi = simd_detail::bucketize8(xhi, bt.bounds, bt.halves,
-                                              bt.num_halves);
+        __m256i blo =
+            simd_detail::bucketize8(xlo, bounds, halves, num_halves);
+        __m256i bhi =
+            simd_detail::bucketize8(xhi, bounds, halves, num_halves);
         __m512i lo64 = _mm512_cvtepi32_epi64(blo);
         __m512i hi64 = _mm512_cvtepi32_epi64(bhi);
         _mm512_storeu_si512(out + i, hashChain8(lo64, nhash, hc));
@@ -142,10 +146,7 @@ runGeneratedAvx512(const OpInstr* f32_ops, size_t nf32,
     }
     for (; i < n; ++i) {
         const float v = applyF32Scalar(f32_ops, nf32, src[i]);
-        int64_t id = 0;
-        simd_detail::bucketizeScalar(&v, &id, 1, bt.bounds, bt.halves,
-                                     bt.num_halves);
-        out[i] = applyHashScalar(hash_ops, nhash, id);
+        out[i] = applyHashScalar(hash_ops, nhash, bucketizeScalar(v, bt));
     }
 }
 

@@ -184,8 +184,8 @@ class PlanExecutor
 
     /**
      * Allocation-free form of run(): writes into @p out (buffers reused
-     * across calls), borrows fallback scratch from @p arena, optionally
-     * fans one task per output onto @p pool. Zero steady-state heap
+     * across calls), counts the batch in @p arena, optionally fans one
+     * task per output onto @p pool. Zero steady-state heap
      * allocations after a warm-up batch.
      */
     void runInto(const RowBatch& raw, MiniBatch& out, BatchArena& arena,

@@ -53,7 +53,6 @@ Preprocessor::Preprocessor(const RmConfig& config)
       boundaries_(BucketBoundaries::makeLogSpaced(config.bucket_size,
                                                   kStandardBucketLo,
                                                   kStandardBucketHi)),
-      fast_bucketizer_(boundaries_),
       table_size_(static_cast<int64_t>(config.avg_embeddings))
 {
     PRESTO_CHECK(config_.num_generated <= config_.num_dense,

@@ -21,7 +21,6 @@
 #include "common/batch_arena.h"
 #include "common/thread_pool.h"
 #include "datagen/rm_config.h"
-#include "ops/fast_ops.h"
 #include "ops/ops.h"
 #include "ops/opvm.h"
 #include "tabular/minibatch.h"
@@ -86,12 +85,11 @@ class Preprocessor
 
     /**
      * Allocation-free form of preprocess(): writes into @p out (whose
-     * buffers are reused across calls) and borrows scratch from
+     * buffers are reused across calls) and counts the batch in
      * @p arena. After a warm-up batch has sized the buffers, the
      * steady-state loop performs zero heap allocations per batch.
      * Output is identical to preprocess(). The arena belongs to the
-     * calling worker; the optional pool only splits per-feature tasks,
-     * each touching a distinct pre-prepared arena slot.
+     * calling worker; the optional pool only splits per-feature tasks.
      */
     void preprocessInto(const RowBatch& raw, MiniBatch& out,
                         BatchArena& arena,
@@ -112,7 +110,6 @@ class Preprocessor
   private:
     RmConfig config_;
     BucketBoundaries boundaries_;
-    FastBucketizer fast_bucketizer_;
     int64_t table_size_;
     CompiledProgram program_;
 };

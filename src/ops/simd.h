@@ -2,8 +2,9 @@
  * @file
  * Runtime SIMD dispatch for the Transform hot-path kernels.
  *
- * The best instruction-set level is detected once at startup; every
- * dispatched kernel (fast_ops.h) then routes through the active level.
+ * The best instruction-set level is detected once at startup; the
+ * op-chain VM (opvm.h) and the columnar decoders then route through the
+ * active level.
  * All levels are bit-identical by construction and differentially tested,
  * so the level only changes speed, never results. Tests and benchmarks
  * pin levels explicitly via setSimdLevel(); the PRESTO_SIMD environment

@@ -1,9 +1,9 @@
 /**
  * @file
  * Differential and allocation tests for the vectorized Transform hot
- * path: every SIMD dispatch level must produce bit-identical results to
- * the scalar reference ops, and the steady-state preprocess loop must
- * run without per-batch heap allocations.
+ * path: every SIMD tier of the op-chain VM must produce bit-identical
+ * results to the reference ops in ops.h, and the steady-state
+ * preprocess loop must run without per-batch heap allocations.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <new>
 #include <random>
 #include <ranges>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,9 +31,9 @@
 #include "core/partition_store.h"
 #include "datagen/generator.h"
 #include "ops/fast_math.h"
-#include "ops/fast_ops.h"
 #include "ops/hash.h"
 #include "ops/ops.h"
+#include "ops/opvm_internal.h"
 #include "ops/plan.h"
 #include "ops/preprocessor.h"
 #include "ops/simd.h"
@@ -89,6 +90,52 @@ operator delete(void* p, std::size_t) noexcept
 
 void
 operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+// Over-aligned types (the VM's hoisted SIMD constants) allocate through
+// the align_val_t forms; count those too.
+void*
+operator new(std::size_t size, std::align_val_t align)
+{
+    if (g_count_allocs.load(std::memory_order_relaxed))
+        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    void* p = std::aligned_alloc(
+        static_cast<std::size_t>(align),
+        (size + static_cast<std::size_t>(align) - 1) &
+            ~(static_cast<std::size_t>(align) - 1));
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
+}
+
+void*
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return operator new(size, align);
+}
+
+void
+operator delete(void* p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
@@ -157,8 +204,44 @@ TEST(SimdDispatchTest, DetectionIsMonotonicAndSettable)
     EXPECT_EQ(activeSimdLevel(), detected);
 }
 
+OpInstr
+hashInstr(uint64_t seed, int64_t max_value)
+{
+    OpInstr in;
+    in.op = OpCode::kHash;
+    in.seed = seed;
+    in.max_value = max_value;
+    return in;
+}
+
+/** Bitwise float-vector equality (NaN payloads and signed zeros). */
+void
+expectSameBits(const std::vector<float>& got,
+               const std::vector<float>& want, const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint32_t>(got[i]),
+                  std::bit_cast<uint32_t>(want[i]))
+            << what << " i=" << i;
+    }
+}
+
+/** One f32 instruction through the VM's dense entry point, contiguous. */
+std::vector<float>
+runF32Op(SimdLevel level, const OpInstr& in, const std::vector<float>& src)
+{
+    std::vector<float> got(src.size(), -7.0f);
+    opvm_detail::runDense(level, &in, 1, src.data(), src.size(),
+                          got.data(), 1);
+    return got;
+}
+
 TEST(HotpathDifferentialTest, SigridHashMatchesReferenceOnAllLevels)
 {
+    // Divisors on both sides of the AVX-512 switch from the
+    // double-reciprocal reduction (d <= 2^25) to Barrett (d > 2^25),
+    // plus d == 1, which every tier maps to 0.
     const std::vector<int64_t> divisors{
         1,       2,         3,        7,         1024,
         500000,  999983,    33554431, 33554432,  int64_t{1} << 26,
@@ -171,18 +254,20 @@ TEST(HotpathDifferentialTest, SigridHashMatchesReferenceOnAllLevels)
             v = static_cast<int64_t>(rng());
         for (int64_t d : divisors) {
             const uint64_t seed = rng();
+            const OpInstr in = hashInstr(seed, d);
             std::vector<int64_t> expected(input);
             sigridHashInPlace(expected, seed, d);
             for (SimdLevel level : availableLevels()) {
-                ScopedSimdLevel scoped(level);
                 std::vector<int64_t> got(n, -1);
-                sigridHashInto(input, got, seed, d);
+                opvm_detail::runSparse(level, &in, 1, input.data(), n,
+                                       got.data());
                 EXPECT_EQ(got, expected)
                     << "level=" << simdLevelName(level) << " d=" << d
                     << " n=" << n;
-                // In-place (aliased) form.
+                // Aliased src/dst.
                 std::vector<int64_t> inplace(input);
-                sigridHashInPlaceFast(inplace, seed, d);
+                opvm_detail::runSparse(level, &in, 1, inplace.data(), n,
+                                       inplace.data());
                 EXPECT_EQ(inplace, expected)
                     << "level=" << simdLevelName(level) << " d=" << d;
             }
@@ -192,21 +277,17 @@ TEST(HotpathDifferentialTest, SigridHashMatchesReferenceOnAllLevels)
 
 TEST(HotpathDifferentialTest, LogMatchesReferenceOnAllLevels)
 {
+    OpInstr log;
+    log.op = OpCode::kLog;
     for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
                      size_t{17}, size_t{4096}}) {
         const auto input = adversarialFloats(n, 7 + n);
         std::vector<float> expected(input);
         logTransformInPlace(expected);
         for (SimdLevel level : availableLevels()) {
-            ScopedSimdLevel scoped(level);
-            std::vector<float> got(input);
-            logTransformInPlaceFast(got);
-            for (size_t i = 0; i < n; ++i) {
-                EXPECT_EQ(std::bit_cast<uint32_t>(got[i]),
-                          std::bit_cast<uint32_t>(expected[i]))
-                    << "level=" << simdLevelName(level) << " i=" << i
-                    << " in=" << input[i];
-            }
+            expectSameBits(runF32Op(level, log, input), expected,
+                           std::string("level=") + simdLevelName(level) +
+                               " n=" + std::to_string(n));
         }
     }
 }
@@ -228,25 +309,25 @@ TEST(HotpathDifferentialTest, FastLog1pNearLibm)
 
 TEST(HotpathDifferentialTest, FillMissingMatchesReferenceOnAllLevels)
 {
-    for (size_t n : {size_t{0}, size_t{3}, size_t{16}, size_t{4097}}) {
+    OpInstr fill;
+    fill.op = OpCode::kFill;
+    fill.a = -1.5f;
+    for (size_t n : {size_t{0}, size_t{3}, size_t{15}, size_t{16},
+                     size_t{17}, size_t{4097}}) {
         const auto input = adversarialFloats(n, 11 + n);
         std::vector<float> expected(input);
         fillMissingInPlace(expected, -1.5f);
         for (SimdLevel level : availableLevels()) {
-            ScopedSimdLevel scoped(level);
-            std::vector<float> got(input);
-            fillMissingInPlaceFast(got, -1.5f);
-            for (size_t i = 0; i < n; ++i) {
-                EXPECT_EQ(std::bit_cast<uint32_t>(got[i]),
-                          std::bit_cast<uint32_t>(expected[i]))
-                    << "level=" << simdLevelName(level) << " i=" << i;
-            }
+            expectSameBits(runF32Op(level, fill, input), expected,
+                           std::string("level=") + simdLevelName(level) +
+                               " n=" + std::to_string(n));
         }
     }
 }
 
 TEST(HotpathDifferentialTest, BucketizeMatchesReferenceOnAllLevels)
 {
+    // A generated chain with no f32 and no hash ops is a bare bucketize.
     std::mt19937 rng(23);
     for (size_t num_bounds : {size_t{1}, size_t{2}, size_t{3}, size_t{37},
                               size_t{1024}, size_t{4096}}) {
@@ -259,7 +340,7 @@ TEST(HotpathDifferentialTest, BucketizeMatchesReferenceOnAllLevels)
             v = acc;
         }
         const BucketBoundaries bounds(b);
-        const FastBucketizer fast(bounds);
+        const BucketTable table(bounds);
         for (size_t n : {size_t{0}, size_t{1}, size_t{8}, size_t{9},
                          size_t{4096}}) {
             auto values = adversarialFloats(n, 31 + n);
@@ -269,15 +350,17 @@ TEST(HotpathDifferentialTest, BucketizeMatchesReferenceOnAllLevels)
             std::vector<int64_t> expected(n);
             bucketizeInto(values, bounds, expected);
             for (SimdLevel level : availableLevels()) {
-                ScopedSimdLevel scoped(level);
                 std::vector<int64_t> got(n, -1);
-                fast.bucketizeInto(values, got);
+                opvm_detail::runGenerated(level, nullptr, 0, table, nullptr,
+                                          0, values.data(), n, got.data());
                 EXPECT_EQ(got, expected)
                     << "level=" << simdLevelName(level)
                     << " bounds=" << num_bounds << " n=" << n;
             }
-            for (size_t i = 0; i < std::min(n, size_t{64}); ++i)
-                EXPECT_EQ(fast.searchBucketId(values[i]), expected[i]);
+            for (size_t i = 0; i < std::min(n, size_t{64}); ++i) {
+                EXPECT_EQ(opvm_detail::bucketizeScalar(values[i], table),
+                          expected[i]);
+            }
         }
     }
 }
@@ -390,7 +473,6 @@ TEST(ZeroAllocTest, SteadyStatePreprocessLoopDoesNotAllocate)
         pre.preprocessInto(raw, mb, arena);
     }
     const uint64_t want = batchChecksum(mb);
-    const size_t slots = arena.slotAllocations();
 
     bool all_ok = true;
     g_alloc_count.store(0);
@@ -405,7 +487,6 @@ TEST(ZeroAllocTest, SteadyStatePreprocessLoopDoesNotAllocate)
     ASSERT_TRUE(all_ok);
     EXPECT_EQ(g_alloc_count.load(), 0u)
         << "steady-state fetch+decode+transform loop heap-allocated";
-    EXPECT_EQ(arena.slotAllocations(), slots);
     EXPECT_EQ(batchChecksum(mb), want);
 }
 
@@ -414,11 +495,49 @@ TEST(ZeroAllocTest, SteadyStatePlanExecutorRunIntoDoesNotAllocate)
     // The fused bytecode VM behind PlanExecutor (and Preprocessor) must
     // stream values register-to-register: once buffers are sized, a
     // compiled plan's runInto performs zero heap allocations per batch.
+    // The plan carries over-long chains too (48 hash ops, 24 unfoldable
+    // f32 ops): their hoisted constants reuse the warm per-thread
+    // scratch.
     RmConfig cfg = rmConfig(1);
     cfg.batch_size = 512;
     RawDataGenerator gen(cfg);
     const RowBatch raw = gen.generatePartition(0);
-    const PlanExecutor exec(TransformPlan::standard(cfg), raw.schema());
+    TransformPlan plan = TransformPlan::standard(cfg);
+    std::vector<DenseOp> long_f32;
+    for (size_t k = 0; k < 24; ++k) {
+        long_f32.push_back(k % 2 == 0 ? DenseOp::log()
+                                      : DenseOp::clamp(-1.0f, 50.0f));
+    }
+    std::vector<SparseOp> long_hash;
+    for (uint64_t k = 0; k < 48; ++k)
+        long_hash.push_back(SparseOp::sigridHash(k, 1000 + 7 * k));
+    {
+        PlanOutput out;
+        out.kind = PlanOutput::Kind::kDense;
+        out.output_name = "long_dense";
+        out.source_feature = "dense_0";
+        out.dense_ops = long_f32;
+        plan.add(std::move(out));
+    }
+    {
+        PlanOutput out;
+        out.kind = PlanOutput::Kind::kSparse;
+        out.output_name = "long_sparse";
+        out.source_feature = "sparse_0";
+        out.sparse_ops = long_hash;
+        plan.add(std::move(out));
+    }
+    {
+        PlanOutput out;
+        out.kind = PlanOutput::Kind::kGenerated;
+        out.output_name = "long_generated";
+        out.source_feature = "dense_1";
+        out.dense_ops = long_f32;
+        out.bucket_boundaries = 1024;
+        out.sparse_ops = long_hash;
+        plan.add(std::move(out));
+    }
+    const PlanExecutor exec(plan, raw.schema());
 
     MiniBatch mb;
     BatchArena arena;

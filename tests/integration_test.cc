@@ -6,8 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "columnar/columnar_file.h"
-#include "core/data_loader.h"
+#include "common/rng.h"
 #include "core/managers.h"
 #include "core/partition_store.h"
 #include "datagen/generator.h"
@@ -180,7 +184,6 @@ TEST(IntegrationTest, MultiEpochTrainingOverShuffledPartitions)
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
     Preprocessor pre(cfg);
-    EpochPartitionLoader loader(4, 0xbeef);
 
     DlrmParams params = DlrmParams::fromRmConfig(cfg, 8, 256);
     params.learning_rate = 0.08f;
@@ -196,9 +199,16 @@ TEST(IntegrationTest, MultiEpochTrainingOverShuffledPartitions)
 
     const MiniBatch held_out = batchFor(99);
     const float before = model.evaluate(held_out);
-    for (int step = 0; step < 2 * 4; ++step)
-        (void)model.trainStep(batchFor(loader.next()));
-    EXPECT_EQ(loader.currentEpoch(), 1u);
+    // Two epochs, each a fresh seeded Fisher-Yates order of the 4
+    // partition ids.
+    for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+        std::vector<uint64_t> order{0, 1, 2, 3};
+        Rng rng(mix64(0xbeef ^ mix64(epoch + 0x5b111e70ULL)));
+        for (uint64_t i = order.size() - 1; i > 0; --i)
+            std::swap(order[i], order[rng.uniformInt(i + 1)]);
+        for (uint64_t pid : order)
+            (void)model.trainStep(batchFor(pid));
+    }
     EXPECT_LT(model.evaluate(held_out), before);
 }
 

@@ -93,15 +93,18 @@ TEST(IoRingTest, CompletionsRouteToTheirConsumer)
     const uint32_t a = ring.registerConsumer();
     const uint32_t b = ring.registerConsumer();
     std::vector<uint8_t> device(512, 0x5a);
-    std::vector<uint8_t> dst_a(512), dst_b(512);
+    // One destination per request: the device channels serve requests
+    // concurrently, so two in flight must not share a buffer.
+    std::vector<std::vector<uint8_t>> dst_a(3, std::vector<uint8_t>(512));
+    std::vector<std::vector<uint8_t>> dst_b(3, std::vector<uint8_t>(512));
 
     IoRequest req;
     req.src = device;
     for (int i = 0; i < 3; ++i) {
-        req.dest = dst_a.data();
+        req.dest = dst_a[i].data();
         req.user_data = 100 + static_cast<uint64_t>(i);
         ring.submit(a, req);
-        req.dest = dst_b.data();
+        req.dest = dst_b[i].data();
         req.user_data = 200 + static_cast<uint64_t>(i);
         ring.submit(b, req);
     }

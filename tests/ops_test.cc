@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "datagen/generator.h"
-#include "ops/fast_ops.h"
 #include "ops/hash.h"
 #include "ops/ops.h"
 #include "ops/preprocessor.h"
@@ -297,83 +296,6 @@ TEST(FirstXTest, ShortRowsUntouched)
     SparseColumn out = firstX(col, 5);
     EXPECT_EQ(out.rowLength(0), 1u);
     EXPECT_EQ(out.rowLength(1), 0u);
-}
-
-// --- Optimized kernels (differential vs reference) ----------------------------------------
-
-class EytzingerDifferential : public ::testing::TestWithParam<size_t>
-{
-};
-
-TEST_P(EytzingerDifferential, MatchesReferenceSearchEverywhere)
-{
-    const size_t m = GetParam();
-    const BucketBoundaries reference =
-        BucketBoundaries::makeLogSpaced(m, 0.02f, 3000.0f);
-    const EytzingerBucketizer fast(reference);
-    ASSERT_EQ(fast.size(), m);
-
-    Rng rng(0xeee);
-    for (int i = 0; i < 20000; ++i) {
-        const float v = static_cast<float>(rng.logNormal(2.0, 2.5));
-        ASSERT_EQ(fast.searchBucketId(v), reference.searchBucketId(v))
-            << "value " << v << " m " << m;
-    }
-    // Exact boundary values and extremes.
-    for (size_t b = 0; b < m; b += std::max<size_t>(1, m / 37)) {
-        const float v = reference.values()[b];
-        EXPECT_EQ(fast.searchBucketId(v), reference.searchBucketId(v));
-    }
-    EXPECT_EQ(fast.searchBucketId(-1.0f), 0);
-    EXPECT_EQ(fast.searchBucketId(1e30f), static_cast<int64_t>(m));
-    EXPECT_EQ(fast.searchBucketId(kNaN), 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, EytzingerDifferential,
-                         ::testing::Values(1, 2, 3, 7, 8, 1024, 4096,
-                                           4097));
-
-TEST(FastOpsTest, EytzingerVectorFormMatchesScalar)
-{
-    const BucketBoundaries bounds =
-        BucketBoundaries::makeLogSpaced(1024, 0.02f, 3000.0f);
-    const EytzingerBucketizer fast(bounds);
-    Rng rng(5);
-    std::vector<float> values(4097);
-    for (auto& v : values)
-        v = static_cast<float>(rng.logNormal(2.0, 1.5));
-    std::vector<int64_t> got(values.size()), expected(values.size());
-    fast.bucketizeInto(values, got);
-    bucketizeInto(values, bounds, expected);
-    EXPECT_EQ(got, expected);
-}
-
-TEST(FastOpsTest, UnrolledHashMatchesReference)
-{
-    Rng rng(6);
-    for (size_t n : {0u, 1u, 3u, 4u, 5u, 1023u}) {
-        std::vector<int64_t> a(n), b;
-        for (auto& v : a)
-            v = static_cast<int64_t>(rng.next() >> 1);
-        b = a;
-        sigridHashInPlace(a, 77, 500000);
-        sigridHashInPlaceUnrolled(b, 77, 500000);
-        EXPECT_EQ(a, b) << "n=" << n;
-    }
-}
-
-TEST(FastOpsTest, StridedLogMatchesReference)
-{
-    Rng rng(7);
-    for (size_t n : {0u, 1u, 5u, 4096u}) {
-        std::vector<float> a(n), b;
-        for (auto& v : a)
-            v = static_cast<float>(rng.uniform(-10.0, 1000.0));
-        b = a;
-        logTransformInPlace(a);
-        logTransformInPlaceStrided(b);
-        EXPECT_EQ(a, b) << "n=" << n;
-    }
 }
 
 // --- MapIdList --------------------------------------------------------------------------

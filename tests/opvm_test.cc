@@ -7,11 +7,11 @@
  * fused single-pass execution is bit-identical to the unfused
  * one-pass-per-operator reference, at every dispatched SIMD level.
  * Plus the compile-time contracts: validation happens exactly once at
- * compile, never per batch, and over-long chains fall back without
- * changing results.
+ * compile, never per batch, and chains of any length run fused.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -300,8 +300,6 @@ TEST_P(FusedStandardPlan, BitIdenticalToUnfusedAtEveryLevel)
     RawDataGenerator gen(cfg);
     const RowBatch raw = gen.generatePartition(7);
     const PlanExecutor exec(TransformPlan::standard(cfg), raw.schema());
-    for (const CompiledOutput& out : exec.program().outputs())
-        EXPECT_TRUE(out.fused) << out.name;
     expectFusedMatchesUnfusedEverywhere(exec, raw,
                                         "standard " + cfg.name);
 }
@@ -476,41 +474,54 @@ TEST(FusedEdgeCaseTest, HashMaxValueOneAndFirstXCaps)
     }
 }
 
-// --- over-long chains fall back, same results ------------------------------
+// --- over-long chains run fused, same results ------------------------------
 
-TEST(FusedFallbackTest, OverlongChainRunsUnfusedAndMatches)
+TEST(OverlongChainTest, RunAndRangeEntryPointsMatchUnfusedAtEveryLevel)
 {
+    // 24 f32 ops that simplification cannot fold (a log separates every
+    // two clamps) and 48 hash ops, in dense, sparse and generated
+    // outputs: the tiers hoist every op's constants, whatever the chain
+    // length. 203 rows: off every tile multiple, so tails run too.
+    constexpr size_t kRows = 203;
     const Schema schema = Schema::makeRecSys(1, 1);
     std::mt19937_64 rng(5);
     RowBatch batch(schema);
-    batch.addColumn(DenseColumn(std::vector<float>(100, 1.0f)));
-    std::vector<float> values(100);
+    batch.addColumn(DenseColumn(std::vector<float>(kRows, 1.0f)));
+    std::vector<float> values(kRows);
     for (auto& v : values)
         v = fuzzFloat(rng);
     batch.addColumn(DenseColumn(std::move(values)));
-    std::vector<uint32_t> offsets(101, 0);
-    for (size_t r = 0; r < 100; ++r)
+    std::vector<uint32_t> offsets(kRows + 1, 0);
+    for (size_t r = 0; r < kRows; ++r)
         offsets[r + 1] = offsets[r] + static_cast<uint32_t>(rng() % 4);
     std::vector<int64_t> ids(offsets.back());
     for (auto& id : ids)
         id = fuzzId(rng);
     batch.addColumn(SparseColumn(std::move(ids), std::move(offsets)));
 
+    std::vector<DenseOp> long_f32;
+    for (size_t k = 0; k < 24; ++k) {
+        if (k % 2 == 0)
+            long_f32.push_back(DenseOp::log());
+        else
+            long_f32.push_back(DenseOp::clamp(
+                -1000.0f + static_cast<float>(k), 1000.0f));
+    }
+    std::vector<SparseOp> long_hash;
+    // Divisors on both sides of the AVX-512 switch from the reciprocal
+    // reduction (d <= 2^25) to Barrett; all large, so no op collapses
+    // the id range for the ops after it.
+    const int64_t divisors[] = {999983, int64_t{1} << 25, 33554431,
+                                int64_t{1} << 26, (int64_t{1} << 40) + 7};
+    for (uint64_t k = 0; k < 48; ++k)
+        long_hash.push_back(SparseOp::sigridHash(k, divisors[k % 5]));
     TransformPlan plan;
     {
         PlanOutput out;
         out.kind = PlanOutput::Kind::kDense;
         out.output_name = "d";
         out.source_feature = "dense_0";
-        // Alternate log/clamp so chain-level simplification (which folds
-        // adjacent clamps) cannot shrink the chain under the fuse limit.
-        for (size_t k = 0; k < kMaxFusedChainOps + 4; ++k) {
-            if (k % 2 == 0)
-                out.dense_ops.push_back(DenseOp::log());
-            else
-                out.dense_ops.push_back(DenseOp::clamp(
-                    -1000.0f + static_cast<float>(k), 1000.0f));
-        }
+        out.dense_ops = long_f32;
         plan.add(std::move(out));
     }
     {
@@ -518,14 +529,72 @@ TEST(FusedFallbackTest, OverlongChainRunsUnfusedAndMatches)
         out.kind = PlanOutput::Kind::kSparse;
         out.output_name = "s";
         out.source_feature = "sparse_0";
-        for (size_t k = 0; k < kMaxFusedChainOps + 2; ++k)
-            out.sparse_ops.push_back(SparseOp::sigridHash(k, 100000));
+        out.sparse_ops = long_hash;
+        plan.add(std::move(out));
+    }
+    {
+        PlanOutput out;
+        out.kind = PlanOutput::Kind::kGenerated;
+        out.output_name = "g";
+        out.source_feature = "dense_0";
+        out.dense_ops = long_f32;
+        out.bucket_boundaries = 256;
+        out.sparse_ops = long_hash;
         plan.add(std::move(out));
     }
     const PlanExecutor exec(plan, schema);
-    for (const CompiledOutput& out : exec.program().outputs())
-        EXPECT_FALSE(out.fused) << out.name;
+    const CompiledProgram& prog = exec.program();
+    for (const CompiledOutput& out : prog.outputs()) {
+        if (out.kind != PlanOutput::Kind::kSparse)
+            EXPECT_EQ(out.num_f32, 24u) << out.name << " was folded";
+        if (out.kind != PlanOutput::Kind::kDense)
+            EXPECT_EQ(out.num_hash, 48u) << out.name;
+    }
     expectFusedMatchesUnfusedEverywhere(exec, batch, "overlong chains");
+
+    // The chunk-granular entry points the ISP emulator drives.
+    MiniBatch oracle;
+    {
+        ScopedSimdLevel scoped(SimdLevel::kScalar);
+        oracle = exec.runUnfused(batch);
+    }
+    const auto& dense_src = batch.dense(prog.outputs()[0].source).values();
+    const auto& sparse_src = batch.sparse(prog.outputs()[1].source).values();
+    constexpr size_t kChunk = 37;
+    for (SimdLevel level : availableLevels()) {
+        ScopedSimdLevel scoped(level);
+        MiniBatch mb;
+        mb.batch_size = kRows;
+        mb.num_dense = prog.numDense();
+        mb.dense.assign(kRows * prog.numDense(), 0.0f);
+        mb.sparse.resize(2);
+        mb.sparse[0].values.assign(sparse_src.size(), -1);
+        mb.sparse[1].values.assign(kRows, -1);
+        for (size_t pos = 0; pos < kRows; pos += kChunk) {
+            const size_t len = std::min(kChunk, kRows - pos);
+            prog.runDenseRange(prog.outputs()[0], dense_src.data() + pos,
+                               len, mb.dense.data() + pos * prog.numDense(),
+                               prog.numDense());
+            prog.runGeneratedRange(prog.outputs()[2],
+                                   dense_src.data() + pos, len,
+                                   mb.sparse[1].values.data() + pos);
+        }
+        for (size_t pos = 0; pos < sparse_src.size(); pos += kChunk) {
+            const size_t len = std::min(kChunk, sparse_src.size() - pos);
+            prog.runHashRange(prog.outputs()[1], sparse_src.data() + pos,
+                              len, mb.sparse[0].values.data() + pos);
+        }
+        const std::string where =
+            std::string("ranges level=") + simdLevelName(level);
+        ASSERT_EQ(mb.dense.size(), oracle.dense.size()) << where;
+        for (size_t i = 0; i < oracle.dense.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<uint32_t>(mb.dense[i]),
+                      std::bit_cast<uint32_t>(oracle.dense[i]))
+                << where << " dense[" << i << "]";
+        }
+        EXPECT_EQ(mb.sparse[0].values, oracle.sparse[0].values) << where;
+        EXPECT_EQ(mb.sparse[1].values, oracle.sparse[1].values) << where;
+    }
 }
 
 // --- chain-level algebraic simplification ----------------------------------
@@ -563,11 +632,9 @@ logInstr()
 
 TEST(SimplifyTest, OverlongFoldableClampChainCompilesFusedAndMatches)
 {
-    // The dual of OverlongChainRunsUnfusedAndMatches: a chain of 20
-    // adjacent clamps used to overflow the fuse limit and fall back to
-    // whole-column passes; chain simplification folds it to one clamp,
-    // so it now compiles fused — and must stay bit-identical to the
-    // reference one-pass-per-operator execution on adversarial floats.
+    // A chain of 20 adjacent clamps folds to one clamp at compile time
+    // and must stay bit-identical to the reference one-pass-per-operator
+    // execution on adversarial floats.
     const Schema schema = Schema::makeRecSys(1, 0);
     std::mt19937_64 rng(11);
     RowBatch batch(schema);
@@ -582,7 +649,7 @@ TEST(SimplifyTest, OverlongFoldableClampChainCompilesFusedAndMatches)
     out.kind = PlanOutput::Kind::kDense;
     out.output_name = "d";
     out.source_feature = "dense_0";
-    for (size_t k = 0; k < kMaxFusedChainOps + 4; ++k) {
+    for (size_t k = 0; k < 20; ++k) {
         out.dense_ops.push_back(
             DenseOp::clamp(-1000.0f + static_cast<float>(k), 1000.0f));
     }
@@ -590,9 +657,8 @@ TEST(SimplifyTest, OverlongFoldableClampChainCompilesFusedAndMatches)
 
     const PlanExecutor exec(plan, schema);
     const CompiledOutput& compiled = exec.program().outputs()[0];
-    EXPECT_TRUE(compiled.fused);
     EXPECT_EQ(compiled.num_f32, 1u);
-    EXPECT_EQ(compiled.unsimplified_f32, kMaxFusedChainOps + 4);
+    EXPECT_EQ(compiled.unsimplified_f32, 20u);
     EXPECT_NE(exec.program().disassemble().find("simplified 20 -> 1"),
               std::string::npos);
     expectFusedMatchesUnfusedEverywhere(exec, batch, "folded clamps");
